@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from bracekit import (
+    TrivialBrace,
     build_family,
     check_axioms,
     check_solution,
@@ -20,14 +21,13 @@ from bracekit import (
     import_solution,
     load_spec,
     solution_from_brace,
-    trivial_brace,
 )
 
 SPEC = Path(__file__).parent / "specs" / "cf72.json"
 
 
 def main():
-    T = trivial_brace([3])
+    T = TrivialBrace([3])
     check_axioms(T)
     flip = solution_from_brace(T)
     print(f"trivial brace of order 3: sigma rows = {flip.sigma.tolist()} (the flip)")

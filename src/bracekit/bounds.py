@@ -27,8 +27,11 @@ from .modular import (
     BilinearForm,
     OrthogonalMap,
     ResidueMatrix,
+    _checked_witness,
+    _companion,
+    _hyperbolic_double,
+    _require_prime,
     hyperbolic_witness,
-    is_prime,
     matrix_order,
     minus_id_bijective,
     nullspace_mod,
@@ -61,13 +64,6 @@ def nu(k: int) -> int:
     if k < 1:
         raise ValueError("k must be a positive integer")
     return 1 if k % 2 == 0 else 2
-
-
-def _require_prime(p: int) -> int:
-    p = int(p)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return p
 
 
 def _even_power_product(p: int, upto: int) -> int:
@@ -242,17 +238,6 @@ def _lex_first_factor(p1: int, p: int, k: int) -> list:
     )
 
 
-def _companion(poly: list, p: int) -> ResidueMatrix:
-    """Companion matrix (column convention) of a monic little-endian poly."""
-    k = len(poly) - 1
-    m = np.zeros((k, k), dtype=np.int64)
-    for i in range(1, k):
-        m[i, i - 1] = 1
-    for i in range(k):
-        m[i, k - 1] = -poly[i]
-    return ResidueMatrix(m, p)
-
-
 def _symmetric_basis(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i, dim)]
 
@@ -305,15 +290,6 @@ def _invariant_symmetric_form(
     return None
 
 
-def _checked_witness(f: ResidueMatrix, form: BilinearForm, p1: int) -> OrthogonalMap:
-    if not minus_id_bijective(f):
-        raise ConditionViolationError("witness fails: f - id is not bijective")
-    witness = OrthogonalMap(f, form, order_cap=p1)
-    if witness.order != p1:
-        raise ConditionViolationError(f"witness fails: order {witness.order} != {p1}")
-    return witness
-
-
 def find_orthogonal_element(
     p: int, p1: int, dim: int, search_budget: int = SEARCH_BUDGET
 ) -> OrthogonalMap:
@@ -346,12 +322,8 @@ def find_orthogonal_element(
             )
         return _checked_witness(f, form, p1)
     if k % 2 == 1 and dim == 2 * k:
-        c = _companion(_lex_first_factor(p1, p, k), p)
-        f = ResidueMatrix.block_diag(c, c.inverse().T)
-        gram = np.zeros((2 * k, 2 * k), dtype=np.int64)
-        gram[:k, k:] = np.eye(k, dtype=np.int64)
-        gram[k:, :k] = np.eye(k, dtype=np.int64)
-        return _checked_witness(f, BilinearForm(ResidueMatrix(gram, p)), p1)
+        f, form = _hyperbolic_double(_companion(_lex_first_factor(p1, p, k), p))
+        return _checked_witness(f, form, p1)
     if dim == 2 * (p1 - 1):
         form, witness = hyperbolic_witness(p1, p)
         return witness

@@ -49,7 +49,6 @@ __all__ = [
     "list_ideals",
     "star_span",
     "additive_generators",
-    "multiplicative_generators",
     "is_prime_brace",
 ]
 
@@ -131,30 +130,10 @@ class FiniteBrace:
             raise IndexError(f"index {index} outside carrier of order {self.order}")
         return BraceElement(self, index)
 
-    def _mulclose_mask(self, gens: np.ndarray) -> tuple[np.ndarray, int]:
-        """Bitmask of the multiplicative subgroup generated by ``gens``."""
-        mask = np.zeros(self.order, dtype=bool)
-        mask[self.zero()] = True
-        frontier = np.array([self.zero()], dtype=np.int64)
-        gens = _as_index_array(gens)
-        while frontier.size:
-            prod = self.mul(frontier[:, None], gens[None, :]).ravel()
-            fresh = np.unique(prod[~mask[prod]])
-            mask[fresh] = True
-            frontier = fresh
-        return mask, int(np.count_nonzero(mask))
-
     def multiplicative_generators(self) -> np.ndarray:
         """A generating set of the multiplicative group (greedy, cached)."""
         if self._mult_gens is None:
-            gens: list[int] = []
-            mask = np.zeros(self.order, dtype=bool)
-            mask[self.zero()] = True
-            count = 1
-            while count < self.order:
-                gens.append(int(np.argmin(mask)))
-                mask, count = self._mulclose_mask(np.array(gens, dtype=np.int64))
-            self._mult_gens = np.array(gens, dtype=np.int64)
+            self._mult_gens = np.array(_greedy_generators(self, self.elements()), dtype=np.int64)
         return self._mult_gens
 
     def __repr__(self) -> str:
@@ -222,6 +201,20 @@ class _MixedRadix:
         return coords @ self.weights
 
 
+def _one_hot_generators(self) -> np.ndarray:
+    """Multiplicative generators of a codec carrier: its one-hot coordinates.
+
+    They generate a trivial brace, and an asymmetric product too, because
+    (t, 0)(0, s) = (t, s) and each factor's one-hots generate that factor.
+    """
+    if self._mult_gens is None:
+        keep = self.codec.moduli > 1
+        self._mult_gens = self.codec.weights[keep].copy()
+        if self._mult_gens.size == 0:
+            self._mult_gens = np.array([0], dtype=np.int64)
+    return self._mult_gens
+
+
 class TrivialBrace(FiniteBrace):
     """The brace whose multiplication is its addition, on a product of cyclics."""
 
@@ -240,13 +233,7 @@ class TrivialBrace(FiniteBrace):
     _mul = _add
     _inv = _neg
 
-    def multiplicative_generators(self) -> np.ndarray:
-        if self._mult_gens is None:
-            keep = self.codec.moduli > 1
-            self._mult_gens = self.codec.weights[keep].copy()
-            if self._mult_gens.size == 0:
-                self._mult_gens = np.array([0], dtype=np.int64)
-        return self._mult_gens
+    multiplicative_generators = _one_hot_generators
 
 
 class AsymmetricProductBrace(FiniteBrace):
@@ -407,15 +394,7 @@ class AsymmetricProductBrace(FiniteBrace):
         s_inv = -s % self._sm
         return self._join(self._alpha(s_inv, -t % self._tm), s_inv)
 
-    def multiplicative_generators(self) -> np.ndarray:
-        # one-hot coordinates generate: (t,0)(0,s) = (t,s) and each factor's
-        # one-hots generate it multiplicatively
-        if self._mult_gens is None:
-            keep = self.codec.moduli > 1
-            self._mult_gens = self.codec.weights[keep].copy()
-            if self._mult_gens.size == 0:
-                self._mult_gens = np.array([0], dtype=np.int64)
-        return self._mult_gens
+    multiplicative_generators = _one_hot_generators
 
 
 class SemidirectProductBrace(FiniteBrace):
@@ -789,6 +768,16 @@ class IdealRecord:
     two_sided: bool
     mask: np.ndarray = field(repr=False)
 
+    @classmethod
+    def from_members(cls, B: FiniteBrace, members, two_sided: bool = True) -> "IdealRecord":
+        """Record of a member set (or record) taken as given; verifies nothing."""
+        members = _as_members(members)
+        mask = np.zeros(B.order, dtype=bool)
+        mask[members] = True
+        return cls(
+            members=members, size=int(members.size), seeds=(), two_sided=two_sided, mask=mask
+        )
+
     def contains(self, x) -> bool:
         return bool(np.all(self.mask[np.asarray(x, dtype=np.int64)]))
 
@@ -962,8 +951,38 @@ def additive_generators(B: FiniteBrace, within=None) -> np.ndarray:
     return np.array(gens if gens else [B.zero()], dtype=np.int64)
 
 
-def multiplicative_generators(B: FiniteBrace) -> np.ndarray:
-    return B.multiplicative_generators()
+def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
+    """Sorted members of the subgroup of (B, mul) generated by ``gens``.
+
+    Breadth-first right multiplication from the identity; in a finite group
+    closure under the generators alone already yields inverses.
+    """
+    gen_arr = np.unique(np.asarray(list(gens), dtype=np.int64))
+    mask = np.zeros(B.order, dtype=bool)
+    mask[B.zero()] = True
+    if gen_arr.size == 0:
+        return np.array([B.zero()], dtype=np.int64)
+    frontier = np.array([B.zero()], dtype=np.int64)
+    while frontier.size:
+        prods = np.unique(B.mul(frontier[:, None], gen_arr[None, :]).ravel())
+        frontier = prods[~mask[prods]]
+        mask[frontier] = True
+    return np.flatnonzero(mask).astype(np.int64)
+
+
+def _greedy_generators(B: FiniteBrace, pool: np.ndarray) -> list[int]:
+    """Greedy generating set of the multiplicative subgroup spanned by ``pool``.
+
+    Each entry of ``pool`` outside the closure of the earlier picks is picked.
+    """
+    gens: list[int] = []
+    covered = np.zeros(B.order, dtype=bool)
+    covered[B.zero()] = True
+    for x in pool.tolist():
+        if not covered[x]:
+            gens.append(int(x))
+            covered[multiplicative_closure(B, gens)] = True
+    return gens
 
 
 def star_span(B: FiniteBrace, left, right) -> np.ndarray:
@@ -1001,18 +1020,12 @@ def is_prime_brace(
 
     The caller supplies the lattice (as IdealRecords or member arrays); it
     must contain the zero ideal and the full brace, every entry must verify
-    as an ideal, and seeded spot checks confirm random singleton closures all
-    land on lattice entries. Any discrepancy raises IncompleteLatticeError,
-    since a missing ideal would make the primeness verdict unsound.
+    as an ideal, and seeded spot checks confirm that the closures of random
+    nonzero elements all land on lattice entries. Any discrepancy raises
+    IncompleteLatticeError, since a missing ideal would make the primeness
+    verdict unsound.
     """
-    records = []
-    for entry in lattice:
-        members = _as_members(entry)
-        mask = np.zeros(B.order, dtype=bool)
-        mask[members] = True
-        records.append(
-            IdealRecord(members=members, size=members.size, seeds=(), two_sided=True, mask=mask)
-        )
+    records = [IdealRecord.from_members(B, entry) for entry in lattice]
     sizes = {r.size for r in records}
     if 1 not in sizes or B.order not in sizes:
         raise IncompleteLatticeError("lattice must contain the zero ideal and the full brace")
@@ -1021,7 +1034,8 @@ def is_prime_brace(
         if not is_ideal(B, r.members):
             raise IncompleteLatticeError(f"lattice entry of size {r.size} is not an ideal")
     rng = np.random.default_rng(seed)
-    for x in rng.integers(1, B.order, size=spot_checks):
+    nonzero = np.delete(B.elements(), B.zero())
+    for x in nonzero[rng.integers(0, B.order - 1, size=spot_checks)]:
         rec = ideal_closure(B, [int(x)], mode="two_sided", budget=budget)
         if rec.key() not in keys:
             raise IncompleteLatticeError(

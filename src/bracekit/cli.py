@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .braces import (
-    IdealRecord,
     check_axioms,
     ideal_closure,
     is_ideal,
@@ -78,12 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the result here instead of standard output")
         p.add_argument("--budget", type=int, default=1_000_000, help="closure/search budget")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="advisory worker count (results are identical for any value)",
-        )
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
     p = sub.add_parser("build", help="build a family brace and report its shape")
@@ -264,15 +257,6 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _record(B, members) -> IdealRecord:
-    members = np.asarray(sorted(int(m) for m in np.asarray(members).ravel()), dtype=np.int64)
-    mask = np.zeros(B.order, dtype=bool)
-    mask[members] = True
-    return IdealRecord(
-        members=members, size=int(members.size), seeds=(), two_sided=True, mask=mask
-    )
-
-
 def _cmd_prime_example(args) -> int:
     B = build_prime_example()
     inner = np.arange(B.A.order, dtype=np.int64)
@@ -301,18 +285,14 @@ def _cmd_prime_example(args) -> int:
     if args.full:
         lattice = list_ideals(B, budget=args.budget)
     else:
-        lattice = [
-            _record(B, [0]),
-            _record(B, inner),
-            _record(B, np.arange(B.order, dtype=np.int64)),
-        ]
+        lattice = [[B.zero()], inner, B.elements()]
     checks["lattice_size"] = len(lattice)
     prime = is_prime_brace(B, lattice, seed=args.seed, budget=args.budget)
     checks["prime"] = prime.prime
 
     out = {
         "order": B.order,
-        "simple": False,
+        "simple": len(lattice) == 2,
         "prime": prime.prime,
         "checks": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v) for k, v in checks.items()},
     }
@@ -338,8 +318,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "budget", 1) < 1 or getattr(args, "threads", 1) < 1:
-        print("error: budgets and thread counts must be positive", file=sys.stderr)
+    if getattr(args, "budget", 1) < 1:
+        print("error: budgets must be positive", file=sys.stderr)
         return 2
     try:
         return _HANDLERS[args.command](args)

@@ -66,8 +66,6 @@ __all__ = [
     "validate_spec",
     "build_family",
     "nonsimple_witness",
-    "trivial_brace",
-    "asymmetric_product",
     "semidirect_product",
     "build_prime_example",
     "solve_exponents",
@@ -452,32 +450,10 @@ def nonsimple_witness(B: AsymmetricProductBrace) -> IdealRecord:
         slots = t[:, lo:hi].reshape(B.order, blk.slots, blk.dim)
         residues = np.einsum("kd,nsd->nsk", h, slots) % blk.prime
         mask &= ~np.any(residues, axis=(1, 2))
-    members = np.sort(idx[mask])
-    if not is_ideal(B, members):
+    record = IdealRecord.from_members(B, idx[mask])
+    if not is_ideal(B, record.members):
         raise ConditionViolationError("witness set failed ideal verification")
-    record_mask = np.zeros(B.order, dtype=bool)
-    record_mask[members] = True
-    return IdealRecord(
-        members=members, size=members.size, seeds=(), two_sided=True, mask=record_mask
-    )
-
-
-def trivial_brace(moduli) -> TrivialBrace:
-    return TrivialBrace(moduli)
-
-
-def asymmetric_product(
-    T: TrivialBrace,
-    S: TrivialBrace,
-    pairing,
-    action_gens,
-    layout=None,
-    validate: bool = True,
-) -> AsymmetricProductBrace:
-    """Asymmetric product of two explicit trivial braces."""
-    return AsymmetricProductBrace(
-        T.moduli, S.moduli, pairing, action_gens, layout=layout, validate=validate
-    )
+    return record
 
 
 def semidirect_product(A: FiniteBrace, B: FiniteBrace, act, validate: bool = True):

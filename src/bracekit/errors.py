@@ -2,8 +2,7 @@
 
 Every error raised by bracekit derives from :class:`BracekitError`, so callers
 can catch the whole family at once. The CLI maps input-shaped errors (schema,
-spec validation, unsupported parameters) to exit code 2 and everything else to
-exit code 1.
+unsupported parameters) to exit code 2 and everything else to exit code 1.
 """
 
 
@@ -33,10 +32,6 @@ class BudgetExceededError(BracekitError):
 
 class ConditionViolationError(BracekitError):
     """A construction precondition failed; the message names the condition."""
-
-
-class SpecValidationError(BracekitError):
-    """A family spec is structurally well-formed but violates a constraint."""
 
 
 class SchemaError(BracekitError):

@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braces import FiniteBrace, IdealRecord, is_left_ideal
+from .braces import (
+    FiniteBrace,
+    IdealRecord,
+    _greedy_generators,
+    is_left_ideal,
+    multiplicative_closure,
+)
 from .errors import BudgetExceededError, ConditionViolationError
 
 __all__ = [
@@ -27,26 +33,6 @@ __all__ = [
 ]
 
 _CHUNK = 500_000
-
-
-def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
-    """Sorted members of the subgroup of (B, mul) generated by ``gens``.
-
-    Breadth-first right multiplication from the identity; in a finite group
-    closure under the generators alone already yields inverses.
-    """
-    gen_arr = np.unique(np.asarray(list(gens), dtype=np.int64))
-    members_mask = np.zeros(B.order, dtype=bool)
-    members_mask[B.zero()] = True
-    if gen_arr.size == 0:
-        return np.array([B.zero()], dtype=np.int64)
-    frontier = np.array([B.zero()], dtype=np.int64)
-    while frontier.size:
-        prods = np.unique(B.mul(frontier[:, None], gen_arr[None, :]).ravel())
-        new = prods[~members_mask[prods]]
-        members_mask[new] = True
-        frontier = new
-    return np.flatnonzero(members_mask).astype(np.int64)
 
 
 def _commutator(B: FiniteBrace, g: int, h: int) -> int:
@@ -83,19 +69,6 @@ def derived_subgroup(B: FiniteBrace, budget: int = 1_000_000) -> np.ndarray:
         members = multiplicative_closure(B, seeds)
 
 
-def _subgroup_generators(B: FiniteBrace, members: np.ndarray) -> list[int]:
-    """Greedy small generating set for a subgroup given as a member list."""
-    gens: list[int] = []
-    covered = np.zeros(B.order, dtype=bool)
-    covered[B.zero()] = True
-    for x in members.tolist():
-        if not covered[x]:
-            gens.append(int(x))
-            covered[:] = False
-            covered[multiplicative_closure(B, gens)] = True
-    return gens
-
-
 def _pairwise_commuting(B: FiniteBrace, xs) -> bool:
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size <= 1:
@@ -118,7 +91,7 @@ def is_abelian(B: FiniteBrace) -> bool:
 def is_metabelian(B: FiniteBrace, budget: int = 1_000_000) -> bool:
     """True when the derived subgroup of (B, mul) is abelian."""
     derived = derived_subgroup(B, budget=budget)
-    return _pairwise_commuting(B, _subgroup_generators(B, derived))
+    return _pairwise_commuting(B, _greedy_generators(B, derived))
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -169,16 +142,7 @@ def _verified_sylow_records(B: FiniteBrace) -> list[tuple[int, IdealRecord]]:
             raise ConditionViolationError(
                 f"the {p}-block of size {members.size} is not a left ideal"
             )
-        mask = np.zeros(B.order, dtype=bool)
-        mask[members] = True
-        record = IdealRecord(
-            members=members,
-            size=int(members.size),
-            seeds=(),
-            two_sided=False,
-            mask=mask,
-        )
-        out.append((p, record))
+        out.append((p, IdealRecord.from_members(B, members, two_sided=False)))
     return out
 
 
@@ -222,7 +186,7 @@ def group_report(B: FiniteBrace, budget: int = 1_000_000) -> GroupReport:
     sylow = _verified_sylow_records(B)
     return GroupReport(
         is_abelian=is_abelian(B),
-        is_metabelian=_pairwise_commuting(B, _subgroup_generators(B, derived)),
+        is_metabelian=_pairwise_commuting(B, _greedy_generators(B, derived)),
         is_A_group=all(_pairwise_commuting(B, rec.members) for _, rec in sylow),
         derived_size=int(derived.size),
         sylow_sizes=tuple((int(p), rec.size) for p, rec in sylow),

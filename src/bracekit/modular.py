@@ -32,8 +32,6 @@ __all__ = [
     "ResidueMatrix",
     "BilinearForm",
     "OrthogonalMap",
-    "mat_mul",
-    "mat_inv",
     "nullspace_mod",
     "is_orthogonal",
     "matrix_order",
@@ -314,16 +312,6 @@ def nullspace_mod(a, p: int) -> np.ndarray:
     return basis
 
 
-def mat_mul(a: ResidueMatrix, b: ResidueMatrix) -> ResidueMatrix:
-    """Matrix product over a shared prime modulus."""
-    return a @ b
-
-
-def mat_inv(a: ResidueMatrix) -> ResidueMatrix:
-    """Matrix inverse; raises SingularMatrixError when none exists."""
-    return a.inverse()
-
-
 class BilinearForm:
     """A non-singular symmetric bilinear form, held by its Gram matrix."""
 
@@ -421,6 +409,17 @@ def minus_id_bijective(f: ResidueMatrix) -> bool:
     return (f - ResidueMatrix.identity(f.rows, f.modulus)).det() != 0
 
 
+def _companion(poly: list, p: int) -> ResidueMatrix:
+    """Companion matrix (column convention) of a monic little-endian poly."""
+    k = len(poly) - 1
+    m = np.zeros((k, k), dtype=np.int64)
+    for i in range(1, k):
+        m[i, i - 1] = 1
+    for i in range(k):
+        m[i, k - 1] = -poly[i]
+    return ResidueMatrix(m, p)
+
+
 def companion_cyclotomic(q: int, p: int) -> ResidueMatrix:
     """Companion matrix of x^(q-1) + ... + x + 1 over Z/(p), for distinct primes q, p.
 
@@ -432,12 +431,27 @@ def companion_cyclotomic(q: int, p: int) -> ResidueMatrix:
     p = _require_prime(p)
     if q == p:
         raise ValueError("q and p must be distinct primes")
-    n = q - 1
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n):
-        m[i, i - 1] = 1
-    m[:, n - 1] = -1
-    return ResidueMatrix(m, p)
+    return _companion([1] * q, p)
+
+
+def _hyperbolic_double(c: ResidueMatrix) -> tuple[ResidueMatrix, BilinearForm]:
+    """f = blockdiag(C, (C^-1)^T) and the block form [[0, I], [I, 0]] it preserves."""
+    k = c.rows
+    gram = np.zeros((2 * k, 2 * k), dtype=np.int64)
+    gram[:k, k:] = np.eye(k, dtype=np.int64)
+    gram[k:, :k] = np.eye(k, dtype=np.int64)
+    f = ResidueMatrix.block_diag(c, c.inverse().T)
+    return f, BilinearForm(ResidueMatrix(gram, c.modulus))
+
+
+def _checked_witness(f: ResidueMatrix, form: BilinearForm, order: int) -> OrthogonalMap:
+    """f as an OrthogonalMap, after checking f - id is bijective and f has ``order``."""
+    if not minus_id_bijective(f):
+        raise ConditionViolationError("witness fails: f - id is not bijective")
+    witness = OrthogonalMap(f, form, order_cap=order)
+    if witness.order != order:
+        raise ConditionViolationError(f"witness fails: order {witness.order} != {order}")
+    return witness
 
 
 def hyperbolic_witness(q: int, p: int) -> tuple[BilinearForm, OrthogonalMap]:
@@ -456,16 +470,5 @@ def hyperbolic_witness(q: int, p: int) -> tuple[BilinearForm, OrthogonalMap]:
         form = BilinearForm(ResidueMatrix([[1]], p))
         f = ResidueMatrix([[-1]], p)
     else:
-        c = companion_cyclotomic(q, p)
-        f = ResidueMatrix.block_diag(c, c.inverse().T)
-        d = q - 1
-        gram = np.zeros((2 * d, 2 * d), dtype=np.int64)
-        gram[:d, d:] = np.eye(d, dtype=np.int64)
-        gram[d:, :d] = np.eye(d, dtype=np.int64)
-        form = BilinearForm(ResidueMatrix(gram, p))
-    if not minus_id_bijective(f):
-        raise ConditionViolationError("witness fails: f - id is not bijective")
-    witness = OrthogonalMap(f, form, order_cap=q)
-    if witness.order != q:
-        raise ConditionViolationError(f"witness fails: order {witness.order} != {q}")
-    return form, witness
+        f, form = _hyperbolic_double(companion_cyclotomic(q, p))
+    return form, _checked_witness(f, form, q)

@@ -152,6 +152,30 @@ def test_witness_frozen_small():
         assert w.form.gram.tolist() == [[1]]
         _assert_witness(w, p, 2, 1)
 
+    # dim = 2(p1 - 1): the hyperbolic double of the full cyclotomic quotient
+    w = find_orthogonal_element(3, 5, 8)
+    assert w.matrix.tolist() == [
+        [0, 0, 0, 2, 0, 0, 0, 0],
+        [1, 0, 0, 2, 0, 0, 0, 0],
+        [0, 1, 0, 2, 0, 0, 0, 0],
+        [0, 0, 1, 2, 0, 0, 0, 0],
+        [0, 0, 0, 0, 2, 2, 2, 2],
+        [0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 0],
+    ]
+    assert w.form.gram.tolist() == [
+        [0, 0, 0, 0, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 0, 0, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 1],
+        [1, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 0, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0],
+        [0, 0, 0, 1, 0, 0, 0, 0],
+    ]
+    _assert_witness(w, 3, 5, 8)
+
 
 def test_witness_dim_six_over_three():
     w = find_orthogonal_element(3, 7, 6)

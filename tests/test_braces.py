@@ -24,6 +24,7 @@ from bracekit.braces import (
     is_prime_brace,
     is_simple,
     list_ideals,
+    multiplicative_closure,
     star_span,
     tabulate,
 )
@@ -358,10 +359,23 @@ def test_closure_budget(asym9):
 
 
 def test_multiplicative_generators_generate(asym9, sd6):
-    for B in (asym9, sd6, TrivialBrace([2, 2, 3])):
+    for B in (asym9, sd6, TrivialBrace([2, 2, 3]), TableBrace(*tabulate(sd6))):
         gens = B.multiplicative_generators()
-        mask, count = B._mulclose_mask(gens)
-        assert count == B.order
+        assert multiplicative_closure(B, gens).tolist() == B.elements().tolist()
+
+
+def test_prime_check_spot_checks_skip_relabelled_zero():
+    # Z/6 with labels 0 and 3 swapped: the zero element is index 3, and the
+    # closure of index 0 is the ideal {0, 3} that the lattice below leaves out
+    swap = np.array([3, 1, 2, 0, 4, 5])
+    add, mul = tabulate(TrivialBrace([6]))
+    B = TableBrace(swap[add][np.ix_(swap, swap)], swap[mul][np.ix_(swap, swap)])
+    assert B.zero() == 3
+    assert ideal_closure(B, [0]).members.tolist() == [0, 3]
+    lattice = [[3], [2, 3, 4], B.elements()]
+    for seed in range(5):
+        with pytest.raises(IncompleteLatticeError):
+            is_prime_brace(B, lattice, seed=seed)
 
 
 # property tests: the defining identities on random elements

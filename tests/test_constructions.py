@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bracekit.braces import check_axioms, ideal_closure, is_ideal, is_left_ideal, is_prime_brace, is_simple, list_ideals, star_span, tabulate
+from bracekit.braces import TrivialBrace, check_axioms, ideal_closure, is_ideal, is_left_ideal, is_prime_brace, is_simple, list_ideals, star_span, tabulate
 from bracekit.construct import (
     BlockData,
     CycleFamilySpec,
@@ -25,7 +25,6 @@ from bracekit.construct import (
     parse_spec,
     semidirect_product,
     solve_exponents,
-    trivial_brace,
     validate_spec,
 )
 from bracekit.errors import (
@@ -333,8 +332,8 @@ def test_solve_exponents_frozen():
 
 
 def test_semidirect_factory_with_callable():
-    A = trivial_brace([3])
-    C = trivial_brace([2])
+    A = TrivialBrace([3])
+    C = TrivialBrace([2])
     sd = semidirect_product(A, C, lambda b: [(i if b == 0 else -i % 3) for i in range(3)])
     assert sd.order == 6
     assert check_axioms(sd, mode="exhaustive").ok

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bracekit.braces import SemidirectProductBrace, TrivialBrace
-from bracekit.construct import build_family, parse_spec, trivial_brace
+from bracekit.construct import build_family, parse_spec
 from bracekit.errors import BudgetExceededError
 from bracekit.groupinfo import (
     GroupReport,
@@ -69,7 +69,7 @@ def test_derived_subgroup_sd6(sd6):
 
 
 def test_derived_trivial_brace_is_identity():
-    B = trivial_brace([2, 3])
+    B = TrivialBrace([2, 3])
     assert derived_subgroup(B).tolist() == [0]
     assert is_abelian(B)
     assert is_metabelian(B)
@@ -108,7 +108,7 @@ def test_sylow_blocks_sieved(sd6):
     assert [rec.size for rec in records] == [2, 3]
     assert records[0].members.tolist() == [0, 3]
     assert records[1].members.tolist() == [0, 1, 2]
-    flat = sylow_left_ideals(trivial_brace([6]))
+    flat = sylow_left_ideals(TrivialBrace([6]))
     assert [rec.size for rec in flat] == [2, 3]
 
 
@@ -132,7 +132,7 @@ def test_group_report_cf72(cf72):
 
 
 def test_group_report_invariant_abelian_implies_metabelian():
-    for B in (trivial_brace([4]), trivial_brace([2, 2, 3])):
+    for B in (TrivialBrace([4]), TrivialBrace([2, 2, 3])):
         report = group_report(B)
         assert report.is_abelian and report.is_metabelian
         assert report.derived_size == 1

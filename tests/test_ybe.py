@@ -5,8 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from bracekit.braces import check_axioms
-from bracekit.construct import build_family, parse_spec, trivial_brace
+from bracekit.braces import TrivialBrace, check_axioms
+from bracekit.construct import build_family, parse_spec
 from bracekit.errors import AxiomsNotVerifiedError, SolutionFormatError
 from bracekit.ybe import (
     SolutionTable,
@@ -37,7 +37,7 @@ def _flip(n):
 
 
 def test_requires_verified_axioms():
-    B = trivial_brace([4])
+    B = TrivialBrace([4])
     with pytest.raises(AxiomsNotVerifiedError):
         solution_from_brace(B)
     check_axioms(B)
@@ -46,7 +46,7 @@ def test_requires_verified_axioms():
 
 
 def test_trivial_brace_gives_flip():
-    B = trivial_brace([2])
+    B = TrivialBrace([2])
     check_axioms(B)
     table = solution_from_brace(B)
     assert table.sigma.tolist() == [[0, 1], [0, 1]]
