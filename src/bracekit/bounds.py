@@ -220,15 +220,20 @@ def _poly_divmod(num: list, den: list, p: int) -> tuple[list, list]:
     return quot, rem
 
 
-def _lex_first_factor(p1: int, p: int, k: int) -> list:
+def _lex_first_factor(p1: int, p: int, k: int, search_budget: int = SEARCH_BUDGET) -> list:
     """Lex-first monic degree-k divisor of x^(p1-1) + ... + 1 over Z/(p).
 
     Every irreducible factor of that polynomial has degree exactly k (k being
     the order of p mod p1), so a degree-k divisor always exists.  Candidates
-    are enumerated by coefficient tuple (c_0, ..., c_{k-1}).
+    are enumerated by coefficient tuple (c_0, ..., c_{k-1}); trying more than
+    search_budget of them raises BudgetExceededError.
     """
     target = [1] * p1  # x^(p1-1) + ... + x + 1
-    for coeffs in itertools.product(range(p), repeat=k):
+    for tried, coeffs in enumerate(itertools.product(range(p), repeat=k), start=1):
+        if tried > search_budget:
+            raise BudgetExceededError(
+                f"no degree-{k} divisor over Z/({p}) among the first {search_budget} candidates"
+            )
         den = list(coeffs) + [1]
         _, rem = _poly_divmod(target, den, p)
         if rem == [0]:
@@ -314,7 +319,7 @@ def find_orthogonal_element(
         return _checked_witness(f, BilinearForm(ResidueMatrix.identity(dim, p)), p1)
     k = unit_order(p, p1)
     if k % 2 == 0 and dim == k:
-        f = _companion(_lex_first_factor(p1, p, k), p)
+        f = _companion(_lex_first_factor(p1, p, k, search_budget), p)
         form = _invariant_symmetric_form(f, search_budget)
         if form is None:
             raise ConditionViolationError(
@@ -322,7 +327,7 @@ def find_orthogonal_element(
             )
         return _checked_witness(f, form, p1)
     if k % 2 == 1 and dim == 2 * k:
-        f, form = _hyperbolic_double(_companion(_lex_first_factor(p1, p, k), p))
+        f, form = _hyperbolic_double(_companion(_lex_first_factor(p1, p, k, search_budget), p))
         return _checked_witness(f, form, p1)
     if dim == 2 * (p1 - 1):
         form, witness = hyperbolic_witness(p1, p)

@@ -249,7 +249,7 @@ class AsymmetricProductBrace(FiniteBrace):
     u^T pairing[k] v mod s_moduli[k]. ``action_gens`` has shape (dS, dT, dT):
     alpha for s is the product of action_gens[l]^{s_l}. Generators must
     commute, respect every coordinate modulus, have order dividing their
-    coordinate modulus, and preserve the pairing; ``validate=True`` enforces
+    coordinate modulus, and preserve the pairing; the constructor enforces
     all of that up front.
 
     ``layout`` permutes the logical coordinates [t..., s...] into encoding
@@ -265,7 +265,6 @@ class AsymmetricProductBrace(FiniteBrace):
         action_gens,
         layout=None,
         family_blocks=None,
-        validate: bool = True,
     ):
         self._tm = np.asarray(t_moduli, dtype=np.int64)
         self._sm = np.asarray(s_moduli, dtype=np.int64)
@@ -293,8 +292,7 @@ class AsymmetricProductBrace(FiniteBrace):
         self._dt = dt
         self.family_blocks = tuple(family_blocks) if family_blocks else None
         self._alpha_cache: dict[bytes, np.ndarray] = {}
-        if validate:
-            self._validate()
+        self._validate()
         self._gen_powers = [self._power_table(self._gens[l], int(self._sm[l])) for l in range(ds)]
         super().__init__(self.codec.size)
 
@@ -403,20 +401,19 @@ class SemidirectProductBrace(FiniteBrace):
     ``act_perms`` has shape (|B|, |A|); row b is the permutation of A-indices
     implementing the automorphism attached to b. Addition is componentwise,
     multiplication is (a1, b1)(a2, b2) = (a1 . act_{b1}(a2), b1 . b2), and the
-    element index is a + |A| * b. With ``validate=True`` the rows are checked
-    to be brace automorphisms of A (via generator sets, which is equivalent to
-    the exhaustive definition) and the assignment b -> act_b is checked to be
-    a homomorphism on all of B.
+    element index is a + |A| * b. The rows are checked to be brace
+    automorphisms of A (via generator sets, which is equivalent to the
+    exhaustive definition) and the assignment b -> act_b is checked to be a
+    homomorphism on all of B.
     """
 
-    def __init__(self, A: FiniteBrace, B: FiniteBrace, act_perms, validate: bool = True):
+    def __init__(self, A: FiniteBrace, B: FiniteBrace, act_perms):
         self.A = A
         self.B = B
         self.act = np.asarray(act_perms, dtype=np.int64)
         if self.act.shape != (B.order, A.order):
             raise ValueError(f"act_perms must have shape {(B.order, A.order)}")
-        if validate:
-            self._verify_action()
+        self._verify_action()
         super().__init__(A.order * B.order)
 
     def _verify_action(self) -> None:
@@ -554,22 +551,53 @@ class AxiomReport:
     trials: int
 
 
-def _first_mismatch(name, lhs, rhs, operands):
-    bad = np.nonzero(lhs != rhs)
-    if bad[0].size == 0:
-        return None
-    first = tuple(int(ax[0]) for ax in bad)
-    witness = []
-    for op in operands:
-        arr = np.broadcast_to(op, lhs.shape)
-        witness.append(int(arr[first]))
-    return (name, tuple(witness))
+EXHAUSTIVE_CAP = 200  # carriers and solution tables up to this size are checked over all triples
+_CHUNK = 500_000  # index pairs or triples per chunk of a vectorized check
+
+
+def _check_triples(n: int, laws: dict, mode: str, trials: int, seed: int):
+    """Run triple laws over all n^3 index triples or over a seeded sample.
+
+    Each law maps index arrays a, b, c (broadcastable against each other) to
+    an array that is True where the law holds. "exhaustive" walks a in chunks
+    of about _CHUNK triples; "sampled" draws ``trials`` triples at once from
+    ``np.random.default_rng(seed)``. A law that failed is not run again.
+    Returns each law's verdict, the first failure (law name, (a, b, c)) in
+    chunk-then-law order or None, and the number of triples covered.
+    """
+    verdicts = dict.fromkeys(laws, True)
+    failure = None
+    if mode == "exhaustive":
+        every = np.arange(n, dtype=np.int64)
+        step = max(1, _CHUNK // max(1, n * n))
+        chunks = (
+            (every[lo : lo + step, None, None], every[None, :, None], every[None, None, :])
+            for lo in range(0, n, step)
+        )
+        covered = n**3
+    else:
+        covered = int(trials)
+        chunks = [np.random.default_rng(seed).integers(0, n, size=(3, covered))]
+    for a, b, c in chunks:
+        triple = np.broadcast_arrays(a, b, c)
+        for name, law in laws.items():
+            if not verdicts[name]:
+                continue
+            held = np.broadcast_to(law(a, b, c), triple[0].shape)
+            if held.all():
+                continue
+            verdicts[name] = False
+            if failure is None:
+                first = np.unravel_index(np.argmin(held), held.shape)
+                failure = (name, tuple(int(t[first]) for t in triple))
+        if not any(verdicts.values()):
+            break
+    return verdicts, failure, covered
 
 
 def check_axioms(
     B: FiniteBrace,
     mode: str = "auto",
-    exhaustive_cap: int = 200,
     trials: int = 100_000,
     seed: int = 0,
 ) -> AxiomReport:
@@ -578,21 +606,13 @@ def check_axioms(
     ``mode`` is "exhaustive" (all pairs and triples), "sampled" (seeded random
     triples; identity and inverse laws stay exhaustive since they are linear
     scans), or "auto", which picks exhaustive for orders up to
-    ``exhaustive_cap``. The report is cached on the brace instance.
+    ``EXHAUSTIVE_CAP``. The report is cached on the brace instance.
     """
     n = B.order
     if mode == "auto":
-        mode = "exhaustive" if n <= exhaustive_cap else "sampled"
+        mode = "exhaustive" if n <= EXHAUSTIVE_CAP else "sampled"
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    checks: dict[str, bool] = {}
-    counterexample = None
-
-    def record(result):
-        nonlocal counterexample
-        if result is not None and counterexample is None:
-            counterexample = result
 
     if isinstance(B, TableBrace) and not B.entries_in_range:
         return AxiomReport(
@@ -607,107 +627,58 @@ def check_axioms(
     try:
         z = B.zero()
     except ConditionViolationError:
-        checks["additive_identity"] = False
-        checks["multiplicative_identity"] = False
         return AxiomReport(
             ok=False,
             mode=mode,
             order=n,
-            checks=checks,
+            checks={"additive_identity": False, "multiplicative_identity": False},
             counterexample=("additive_identity", ()),
             trials=0,
         )
 
     every = B.elements()
+    zeros = np.full(n, z, dtype=np.int64)
+    checks: dict[str, bool] = {}
+    failures = []
+    for name, got, want in (
+        ("additive_identity", B.add(z, every), every),
+        ("additive_inverses", B.add(every, B.neg(every)), zeros),
+        ("multiplicative_identity", B.mul(z, every), every),
+        ("multiplicative_identity", B.mul(every, z), every),
+        ("multiplicative_inverses", B.mul(every, B.inv(every)), zeros),
+    ):
+        bad = np.flatnonzero(got != want)
+        checks[name] = checks.get(name, True) and bad.size == 0
+        if bad.size:
+            failures.append((name, (int(bad[0]),)))
 
-    got = B.add(z, every)
-    checks["additive_identity"] = bool(np.array_equal(got, every))
-    record(_first_mismatch("additive_identity", got, every, [every]))
-
-    got = B.add(every, B.neg(every))
-    want = np.full(n, z, dtype=np.int64)
-    checks["additive_inverses"] = bool(np.array_equal(got, want))
-    record(_first_mismatch("additive_inverses", got, want, [every]))
-
-    got_l = B.mul(z, every)
-    got_r = B.mul(every, z)
-    checks["multiplicative_identity"] = bool(
-        np.array_equal(got_l, every) and np.array_equal(got_r, every)
-    )
-    record(_first_mismatch("multiplicative_identity", got_l, every, [every]))
-    record(_first_mismatch("multiplicative_identity", got_r, every, [every]))
-
-    got = B.mul(every, B.inv(every))
-    checks["multiplicative_inverses"] = bool(np.array_equal(got, want))
-    record(_first_mismatch("multiplicative_inverses", got, want, [every]))
-
-    if mode == "exhaustive":
-        trials_run = 0
-        a_all = every[:, None]
-        b_all = every[None, :]
-        got = B.add(a_all, b_all)
-        swapped = B.add(b_all, a_all)
-        checks["additive_commutativity"] = bool(np.array_equal(got, swapped))
-        record(_first_mismatch("additive_commutativity", got, swapped, [a_all, b_all]))
-
-        chunk = max(1, 500_000 // max(1, n * n))
-        names = ["additive_associativity", "multiplicative_associativity", "compatibility"]
-        verdicts = {name: True for name in names}
-        for lo in range(0, n, chunk):
-            a = every[lo : lo + chunk][:, None, None]
-            b = every[None, :, None]
-            c = every[None, None, :]
-            triples = [a, b, c]
-            lhs = B.add(B.add(a, b), c)
-            rhs = B.add(a, B.add(b, c))
-            if not np.array_equal(lhs, rhs):
-                verdicts["additive_associativity"] = False
-                record(_first_mismatch("additive_associativity", lhs, rhs, triples))
-            lhs = B.mul(B.mul(a, b), c)
-            rhs = B.mul(a, B.mul(b, c))
-            if not np.array_equal(lhs, rhs):
-                verdicts["multiplicative_associativity"] = False
-                record(_first_mismatch("multiplicative_associativity", lhs, rhs, triples))
-            lhs = B.add(B.mul(a, B.add(b, c)), a)
-            rhs = B.add(B.mul(a, b), B.mul(a, c))
-            if not np.array_equal(lhs, rhs):
-                verdicts["compatibility"] = False
-                record(_first_mismatch("compatibility", lhs, rhs, triples))
-        checks.update(verdicts)
-    else:
-        trials_run = int(trials)
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, n, size=trials_run)
-        b = rng.integers(0, n, size=trials_run)
-        c = rng.integers(0, n, size=trials_run)
-
-        got = B.add(a, b)
-        swapped = B.add(b, a)
-        checks["additive_commutativity"] = bool(np.array_equal(got, swapped))
-        record(_first_mismatch("additive_commutativity", got, swapped, [a, b]))
-
-        lhs = B.add(B.add(a, b), c)
-        rhs = B.add(a, B.add(b, c))
-        checks["additive_associativity"] = bool(np.array_equal(lhs, rhs))
-        record(_first_mismatch("additive_associativity", lhs, rhs, [a, b, c]))
-
-        lhs = B.mul(B.mul(a, b), c)
-        rhs = B.mul(a, B.mul(b, c))
-        checks["multiplicative_associativity"] = bool(np.array_equal(lhs, rhs))
-        record(_first_mismatch("multiplicative_associativity", lhs, rhs, [a, b, c]))
-
-        lhs = B.add(B.mul(a, B.add(b, c)), a)
-        rhs = B.add(B.mul(a, b), B.mul(a, c))
-        checks["compatibility"] = bool(np.array_equal(lhs, rhs))
-        record(_first_mismatch("compatibility", lhs, rhs, [a, b, c]))
+    # commutativity is a law on pairs: it runs over all of them before any triple law
+    commutes = {"additive_commutativity": lambda a, b, c: B.add(a, b) == B.add(b, a)}
+    verdicts, failure, _ = _check_triples(n, commutes, mode, trials, seed)
+    checks.update(verdicts)
+    if failure is not None:
+        failures.append((failure[0], failure[1][:2]))
+    triple_laws = {
+        "additive_associativity": lambda a, b, c: B.add(B.add(a, b), c) == B.add(a, B.add(b, c)),
+        "multiplicative_associativity": lambda a, b, c: (
+            B.mul(B.mul(a, b), c) == B.mul(a, B.mul(b, c))
+        ),
+        "compatibility": lambda a, b, c: (
+            B.add(B.mul(a, B.add(b, c)), a) == B.add(B.mul(a, b), B.mul(a, c))
+        ),
+    }
+    verdicts, failure, covered = _check_triples(n, triple_laws, mode, trials, seed)
+    checks.update(verdicts)
+    if failure is not None:
+        failures.append(failure)
 
     report = AxiomReport(
         ok=all(checks.values()),
         mode=mode,
         order=n,
         checks=checks,
-        counterexample=counterexample,
-        trials=trials_run,
+        counterexample=failures[0] if failures else None,
+        trials=0 if mode == "exhaustive" else covered,
     )
     B._axiom_report = report
     return report

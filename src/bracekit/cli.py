@@ -14,24 +14,20 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .braces import (
-    check_axioms,
-    ideal_closure,
-    is_ideal,
-    is_prime_brace,
-    is_simple,
-    list_ideals,
-    star_span,
-)
+from .braces import check_axioms, is_simple
 from .bounds import (
     exponent_lower_bounds,
     find_orthogonal_element,
     minimal_witness_dimension,
     witness_block,
 )
-from .construct import build_family, build_prime_example, load_spec, nonsimple_witness, validate_spec
+from .construct import (
+    build_family,
+    load_spec,
+    nonsimple_witness,
+    validate_spec,
+    verify_prime_example,
+)
 from .errors import (
     AxiomsNotVerifiedError,
     BracekitError,
@@ -41,7 +37,6 @@ from .errors import (
     NoWitnessError,
     SchemaError,
     SolutionFormatError,
-    UnsupportedParameterError,
 )
 from .groupinfo import group_report
 from .ybe import check_solution, export_solution, solution_from_brace
@@ -49,7 +44,6 @@ from .ybe import check_solution, export_solution, solution_from_brace
 _INPUT_ERRORS = (
     SchemaError,
     SolutionFormatError,
-    UnsupportedParameterError,
     ConditionViolationError,
     FileNotFoundError,
     IsADirectoryError,
@@ -258,47 +252,11 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_prime_example(args) -> int:
-    B = build_prime_example()
-    inner = np.arange(B.A.order, dtype=np.int64)
-    checks = {}
-    checks["order"] = B.order == 92160
-    checks["inner_is_ideal"] = is_ideal(B, inner)
-    star = star_span(B, inner, inner)
-    checks["inner_star_reproduces"] = bool(
-        np.array_equal(star, inner) and star.size > 1
+    out = verify_prime_example(
+        samples=args.samples, seed=args.seed, budget=args.budget, full=args.full
     )
-
-    rng = np.random.default_rng(args.seed)
-    inside = rng.choice(inner[1:], size=args.samples, replace=True)
-    ok_inside = all(
-        np.array_equal(ideal_closure(B, [int(s)], budget=args.budget).members, inner)
-        for s in inside
-    )
-    checks[f"{args.samples}_inside_seeds_close_to_inner"] = ok_inside
-    outside_pool = np.arange(B.A.order, B.order, dtype=np.int64)
-    outside = rng.choice(outside_pool, size=args.samples, replace=True)
-    ok_outside = all(
-        ideal_closure(B, [int(s)], budget=args.budget).size == B.order for s in outside
-    )
-    checks[f"{args.samples}_outside_seeds_close_to_full"] = ok_outside
-
-    if args.full:
-        lattice = list_ideals(B, budget=args.budget)
-    else:
-        lattice = [[B.zero()], inner, B.elements()]
-    checks["lattice_size"] = len(lattice)
-    prime = is_prime_brace(B, lattice, seed=args.seed, budget=args.budget)
-    checks["prime"] = prime.prime
-
-    out = {
-        "order": B.order,
-        "simple": len(lattice) == 2,
-        "prime": prime.prime,
-        "checks": {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v) for k, v in checks.items()},
-    }
     _emit(_render(out, args.json), args.out)
-    passed = all(v for v in checks.values() if isinstance(v, (bool, np.bool_)))
-    return 0 if passed else 1
+    return 0 if all(v for v in out["checks"].values() if isinstance(v, bool)) else 1
 
 
 _HANDLERS = {

@@ -37,11 +37,14 @@ import numpy as np
 
 from .braces import (
     AsymmetricProductBrace,
-    FiniteBrace,
     IdealRecord,
     SemidirectProductBrace,
     TrivialBrace,
+    ideal_closure,
     is_ideal,
+    is_prime_brace,
+    list_ideals,
+    star_span,
 )
 from .errors import (
     BelowBoundError,
@@ -50,7 +53,6 @@ from .errors import (
     NoWitnessError,
     NotInvertibleError,
     SchemaError,
-    UnsupportedParameterError,
 )
 from .modular import ResidueMatrix, is_prime, matrix_order, minus_id_bijective, nullspace_mod
 
@@ -66,8 +68,8 @@ __all__ = [
     "validate_spec",
     "build_family",
     "nonsimple_witness",
-    "semidirect_product",
     "build_prime_example",
+    "verify_prime_example",
     "solve_exponents",
 ]
 
@@ -399,18 +401,17 @@ def _assemble(spec: FamilySpec):
     return t_moduli, s_moduli, pairing, action, layout, blocks_meta
 
 
-def build_family(spec: FamilySpec, validate: bool = True) -> AsymmetricProductBrace:
+def build_family(spec: FamilySpec) -> AsymmetricProductBrace:
     """Compile a family spec into its brace.
 
-    With ``validate=True`` the spec is checked first (raising
-    ConditionViolationError listing every failure) and the assembled pairing
-    and action are re-verified by the carrier's own constructor, so a bug in
-    assembly cannot slip through as silent wrong algebra.
+    The spec is checked first (raising ConditionViolationError listing every
+    failure) and the assembled pairing and action are re-verified by the
+    carrier's own constructor, so a bug in assembly cannot slip through as
+    silent wrong algebra.
     """
-    if validate:
-        report = validate_spec(spec)
-        if not report.ok:
-            raise ConditionViolationError("; ".join(report.failures))
+    report = validate_spec(spec)
+    if not report.ok:
+        raise ConditionViolationError("; ".join(report.failures))
     t_moduli, s_moduli, pairing, action, layout, blocks_meta = _assemble(spec)
     return AsymmetricProductBrace(
         t_moduli,
@@ -419,7 +420,6 @@ def build_family(spec: FamilySpec, validate: bool = True) -> AsymmetricProductBr
         action,
         layout=layout,
         family_blocks=blocks_meta,
-        validate=validate,
     )
 
 
@@ -456,19 +456,6 @@ def nonsimple_witness(B: AsymmetricProductBrace) -> IdealRecord:
     return record
 
 
-def semidirect_product(A: FiniteBrace, B: FiniteBrace, act, validate: bool = True):
-    """Semidirect product; ``act`` maps a B-index to a permutation of A-indices.
-
-    ``act`` may be a callable or a prebuilt (|B|, |A|) array. The rows are
-    verified to be brace automorphisms of A and the assignment a homomorphism
-    unless ``validate`` is off.
-    """
-    if callable(act):
-        rows = [np.asarray(act(b), dtype=np.int64) for b in range(B.order)]
-        act = np.stack(rows)
-    return SemidirectProductBrace(A, B, act, validate=validate)
-
-
 def _shift_spec() -> CycleFamilySpec:
     # five slots of the hyperbolic plane over Z/2 cycled against one copy of Z/3
     return CycleFamilySpec(
@@ -479,7 +466,7 @@ def _shift_spec() -> CycleFamilySpec:
     )
 
 
-def build_prime_example(m1: int = 5, validate: bool = True) -> SemidirectProductBrace:
+def build_prime_example() -> SemidirectProductBrace:
     """A prime, non-simple brace: a simple family brace extended by a slot shift.
 
     The five slots of the first block are cycled by Z/5; the shift commutes
@@ -488,9 +475,7 @@ def build_prime_example(m1: int = 5, validate: bool = True) -> SemidirectProduct
     automorphism, and it is not inner since 5 does not divide the simple
     brace's order. The resulting ideal lattice is exactly {0, A x {0}, B}.
     """
-    if m1 != 5:
-        raise UnsupportedParameterError("only the five-slot shift construction is supported")
-    A = build_family(_shift_spec(), validate=validate)
+    A = build_family(_shift_spec())
     outer = TrivialBrace([5])
     blk = A.family_blocks[0]
     lo, hi = blk.t_coords
@@ -504,7 +489,44 @@ def build_prime_example(m1: int = 5, validate: bool = True) -> SemidirectProduct
         return A._join(t2, s)
 
     act = np.stack([shifted(a) for a in range(5)])
-    return SemidirectProductBrace(A, outer, act, validate=validate)
+    return SemidirectProductBrace(A, outer, act)
+
+
+def verify_prime_example(
+    samples: int = 200, seed: int = 0, budget: int = 1_000_000, full: bool = False
+) -> dict:
+    """Build the order-92160 example and check that it is prime but not simple.
+
+    The inner copy A of the simple factor must be an ideal with A * A = A;
+    ``samples`` seeded closures from inside A must give A and as many from
+    outside must give everything. The primeness check then runs over the
+    lattice {0, A, B}, or over the full lattice enumerated exhaustively when
+    ``full`` is set (long-running). Returns the order, the simple and prime
+    verdicts, and every check by name.
+    """
+    B = build_prime_example()
+    inner = np.arange(B.A.order, dtype=np.int64)
+    checks = {}
+    checks["order"] = B.order == 92160
+    checks["inner_is_ideal"] = is_ideal(B, inner)
+    star = star_span(B, inner, inner)
+    checks["inner_star_reproduces"] = bool(np.array_equal(star, inner) and star.size > 1)
+
+    rng = np.random.default_rng(seed)
+    inside = rng.choice(inner[1:], size=samples, replace=True)
+    checks[f"{samples}_inside_seeds_close_to_inner"] = all(
+        np.array_equal(ideal_closure(B, [int(s)], budget=budget).members, inner) for s in inside
+    )
+    outside = rng.choice(np.arange(B.A.order, B.order, dtype=np.int64), size=samples, replace=True)
+    checks[f"{samples}_outside_seeds_close_to_full"] = all(
+        ideal_closure(B, [int(s)], budget=budget).size == B.order for s in outside
+    )
+
+    lattice = list_ideals(B, budget=budget) if full else [[B.zero()], inner, B.elements()]
+    checks["lattice_size"] = len(lattice)
+    prime = is_prime_brace(B, lattice, seed=seed, budget=budget)
+    checks["prime"] = prime.prime
+    return {"order": B.order, "simple": len(lattice) == 2, "prime": prime.prime, "checks": checks}
 
 
 def solve_exponents(dims, exponents) -> tuple[tuple, tuple]:

@@ -2,7 +2,8 @@
 
 Every error raised by bracekit derives from :class:`BracekitError`, so callers
 can catch the whole family at once. The CLI maps input-shaped errors (schema,
-unsupported parameters) to exit code 2 and everything else to exit code 1.
+malformed solution files, unmet construction conditions) to exit code 2 and
+everything else to exit code 1.
 """
 
 
@@ -40,10 +41,6 @@ class SchemaError(BracekitError):
 
 class NoWitnessError(BracekitError):
     """An exhaustive search finished without finding the requested witness."""
-
-
-class UnsupportedParameterError(BracekitError):
-    """A parameter outside the supported range was requested."""
 
 
 class ActionNotAutomorphismError(BracekitError):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braces import (
+    _CHUNK,
     FiniteBrace,
     IdealRecord,
     _greedy_generators,
@@ -31,8 +32,6 @@ __all__ = [
     "multiplicative_closure",
     "sylow_left_ideals",
 ]
-
-_CHUNK = 500_000
 
 
 def _commutator(B: FiniteBrace, g: int, h: int) -> int:
@@ -88,10 +87,18 @@ def is_abelian(B: FiniteBrace) -> bool:
     return _pairwise_commuting(B, B.multiplicative_generators())
 
 
+def _is_abelian_subgroup(B: FiniteBrace, members) -> bool:
+    """Whether a multiplicative subgroup, given by its members, is abelian.
+
+    Its greedy generators generate it, so pairwise commuting generators
+    suffice, by the argument of ``is_abelian``.
+    """
+    return _pairwise_commuting(B, _greedy_generators(B, members))
+
+
 def is_metabelian(B: FiniteBrace, budget: int = 1_000_000) -> bool:
     """True when the derived subgroup of (B, mul) is abelian."""
-    derived = derived_subgroup(B, budget=budget)
-    return _pairwise_commuting(B, _greedy_generators(B, derived))
+    return _is_abelian_subgroup(B, derived_subgroup(B, budget=budget))
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -157,8 +164,8 @@ def sylow_left_ideals(B: FiniteBrace) -> list[IdealRecord]:
 
 
 def is_A_group(B: FiniteBrace) -> bool:
-    """True when every Sylow block is abelian under mul (checked pairwise)."""
-    return all(_pairwise_commuting(B, rec.members) for rec in sylow_left_ideals(B))
+    """True when every Sylow block is abelian under mul (checked on its generators)."""
+    return all(_is_abelian_subgroup(B, rec.members) for rec in sylow_left_ideals(B))
 
 
 @dataclass(frozen=True)
@@ -186,8 +193,8 @@ def group_report(B: FiniteBrace, budget: int = 1_000_000) -> GroupReport:
     sylow = _verified_sylow_records(B)
     return GroupReport(
         is_abelian=is_abelian(B),
-        is_metabelian=_pairwise_commuting(B, _greedy_generators(B, derived)),
-        is_A_group=all(_pairwise_commuting(B, rec.members) for _, rec in sylow),
+        is_metabelian=_is_abelian_subgroup(B, derived),
+        is_A_group=all(_is_abelian_subgroup(B, rec.members) for _, rec in sylow),
         derived_size=int(derived.size),
         sylow_sizes=tuple((int(p), rec.size) for p, rec in sylow),
     )

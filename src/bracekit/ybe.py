@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .braces import FiniteBrace
+from .braces import EXHAUSTIVE_CAP, FiniteBrace, _check_triples
 from .errors import AxiomsNotVerifiedError, SolutionFormatError
 
 __all__ = [
@@ -114,23 +114,8 @@ def _rows_are_permutations(table: np.ndarray) -> bool:
     return bool(np.array_equal(np.sort(table, axis=1), np.tile(np.arange(n), (n, 1))))
 
 
-def _braid_on(sigma, gamma, X, Y, Z):
-    """Both braid words applied to the given triples; returns (lhs, rhs)."""
-
-    def r12(x, y, z):
-        return sigma[x, y], gamma[x, y], z
-
-    def r23(x, y, z):
-        return x, sigma[y, z], gamma[y, z]
-
-    a = r12(*r23(*r12(X, Y, Z)))
-    b = r23(*r12(*r23(X, Y, Z)))
-    return a, b
-
-
 def check_solution(
     table: SolutionTable,
-    braid_cap: int = 200,
     trials: int = 1_000_000,
     seed: int = 0,
 ) -> SolutionReport:
@@ -138,7 +123,7 @@ def check_solution(
 
     Involutivity and non-degeneracy are always exhaustive (N^2 pairs and 2N
     bijection checks).  The braid relation runs over all N^3 triples up to
-    braid_cap, and over `trials` seeded random triples beyond it.
+    EXHAUSTIVE_CAP, and over `trials` seeded random triples beyond it.
     """
     sigma, gamma = table.sigma, table.gamma
     n = table.size
@@ -155,47 +140,27 @@ def check_solution(
         bad = np.argwhere((sigma[s, g] != X) | (gamma[s, g] != Y))[0]
         counterexample = (int(bad[0]), int(bad[1]))
 
-    braid = True
-    if n <= braid_cap:
-        mode = "exhaustive"
-        checked = n**3
-        step = max(1, 2_000_000 // max(1, n * n))
-        for lo in range(0, n, step):
-            xs = np.arange(lo, min(lo + step, n))
-            X3, Y3, Z3 = np.meshgrid(xs, np.arange(n), np.arange(n), indexing="ij")
-            lhs, rhs = _braid_on(sigma, gamma, X3, Y3, Z3)
-            agree = (lhs[0] == rhs[0]) & (lhs[1] == rhs[1]) & (lhs[2] == rhs[2])
-            if not bool(np.all(agree)):
-                braid = False
-                bad = np.argwhere(~agree)[0]
-                counterexample = counterexample or (
-                    int(xs[bad[0]]),
-                    int(bad[1]),
-                    int(bad[2]),
-                )
-                break
-    else:
-        mode = "sampled"
-        checked = int(trials)
-        rng = np.random.default_rng(seed)
-        X3, Y3, Z3 = rng.integers(0, n, size=(3, checked))
-        lhs, rhs = _braid_on(sigma, gamma, X3, Y3, Z3)
-        agree = (lhs[0] == rhs[0]) & (lhs[1] == rhs[1]) & (lhs[2] == rhs[2])
-        if not bool(np.all(agree)):
-            braid = False
-            bad = int(np.argwhere(~agree)[0][0])
-            counterexample = counterexample or (
-                int(X3[bad]),
-                int(Y3[bad]),
-                int(Z3[bad]),
-            )
+    def r12(x, y, z):
+        return sigma[x, y], gamma[x, y], z
 
-    ok = involutive and nondegenerate and braid
+    def r23(x, y, z):
+        return x, sigma[y, z], gamma[y, z]
+
+    def braid(x, y, z):
+        lhs = r12(*r23(*r12(x, y, z)))
+        rhs = r23(*r12(*r23(x, y, z)))
+        return (lhs[0] == rhs[0]) & (lhs[1] == rhs[1]) & (lhs[2] == rhs[2])
+
+    mode = "exhaustive" if n <= EXHAUSTIVE_CAP else "sampled"
+    verdicts, failure, checked = _check_triples(n, {"braid": braid}, mode, trials, seed)
+    if failure is not None and counterexample is None:
+        counterexample = failure[1]
+
     return SolutionReport(
-        ok=ok,
+        ok=involutive and nondegenerate and verdicts["braid"],
         involutive=involutive,
         nondegenerate=nondegenerate,
-        braid=braid,
+        braid=verdicts["braid"],
         braid_mode=mode,
         braid_checked=checked,
         counterexample=counterexample,

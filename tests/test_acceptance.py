@@ -233,13 +233,6 @@ def test_ac7_minimal_dimension_witnesses():
     _report("AC7", clock, "witnesses at minimal dims for (2,3),(3,2),(5,2),(7,2),(2,5),(3,7),(7,3); NoWitness below where budget-feasible; (3,7) dims 4-5 documented as over budget")
 
 
-def _record(B, members):
-    members = np.asarray(sorted(int(m) for m in np.asarray(members).ravel()), dtype=np.int64)
-    mask = np.zeros(B.order, dtype=bool)
-    mask[members] = True
-    return IdealRecord(members=members, size=int(members.size), seeds=(), two_sided=True, mask=mask)
-
-
 def test_ac8_prime_nonsimple_product():
     with _Clock() as clock:
         B = build_prime_example()
@@ -258,7 +251,7 @@ def test_ac8_prime_nonsimple_product():
         for s in outside:
             assert ideal_closure(B, [int(s)]).size == B.order
 
-        lattice = [_record(B, [0]), _record(B, inner), _record(B, np.arange(B.order, dtype=np.int64))]
+        lattice = [IdealRecord.from_members(B, m) for m in ([0], inner, B.elements())]
         prime = is_prime_brace(B, lattice, seed=0)
         assert prime.prime
     assert clock.elapsed < 600.0

@@ -4,6 +4,8 @@ The divisibility predicate is dual-routed: every grid cell is compared with
 literal divisibility of the exact group order integer.
 """
 
+import time
+
 import pytest
 
 from bracekit.bounds import (
@@ -220,6 +222,14 @@ def test_witness_budget_guard():
         find_orthogonal_element(3, 7, 4)
     with pytest.raises(BudgetExceededError):
         find_orthogonal_element(3, 7, 5)
+
+
+def test_factor_search_respects_budget():
+    # k = 10: the lex-first divisor search alone would walk up to 13^10 candidates
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        find_orthogonal_element(13, 11, 10, search_budget=1000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_witness_block_feeds_family_builder():

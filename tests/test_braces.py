@@ -224,6 +224,66 @@ def test_table_brace_detects_perturbations(sd6):
     assert report.checks == {"closure": False}
 
 
+def _corrupted_d106(table, at, source):
+    """Tables of the dihedral brace Z/53 x| Z/2 with one entry overwritten."""
+    neg = [(-i) % 53 for i in range(53)]
+    D = SemidirectProductBrace(TrivialBrace([53]), TrivialBrace([2]), [list(range(53)), neg])
+    tables = list(tabulate(D))
+    broken = tables[table].copy()
+    broken[at] = broken[source]
+    tables[table] = broken
+    return TableBrace(*tables)
+
+
+_LINEAR_OK = {
+    "additive_identity": True,
+    "additive_inverses": True,
+    "multiplicative_identity": True,
+    "multiplicative_inverses": True,
+}
+
+
+# The four reports below were captured before the exhaustive and sampled
+# checkers were merged. Order 106 runs the exhaustive triples in three chunks.
+def test_pinned_reports_corrupted_addition():
+    T = _corrupted_d106(0, (60, 70), (60, 71))
+    checks = dict(
+        _LINEAR_OK,
+        additive_commutativity=False,
+        additive_associativity=False,
+        multiplicative_associativity=True,
+        compatibility=False,
+    )
+    report = check_axioms(T, mode="exhaustive")
+    assert (report.ok, report.mode, report.order, report.trials) == (False, "exhaustive", 106, 0)
+    assert report.checks == checks
+    # commutativity is checked over all pairs before any triple law
+    assert report.counterexample == ("additive_commutativity", (60, 70))
+    report = check_axioms(T, mode="sampled", trials=20_000, seed=5)
+    assert (report.ok, report.mode, report.order, report.trials) == (False, "sampled", 106, 20_000)
+    assert report.checks == checks
+    assert report.counterexample == ("additive_commutativity", (70, 60))
+
+
+def test_pinned_reports_corrupted_multiplication():
+    T = _corrupted_d106(1, (100, 3), (100, 4))
+    checks = dict(
+        _LINEAR_OK,
+        additive_commutativity=True,
+        additive_associativity=True,
+        multiplicative_associativity=False,
+        compatibility=False,
+    )
+    report = check_axioms(T)
+    assert (report.ok, report.mode, report.order, report.trials) == (False, "exhaustive", 106, 0)
+    assert report.checks == checks
+    assert report.counterexample == ("multiplicative_associativity", (1, 99, 3))
+    report = check_axioms(T, mode="sampled", trials=20_000, seed=5)
+    assert (report.ok, report.mode, report.order, report.trials) == (False, "sampled", 106, 20_000)
+    assert report.checks == checks
+    assert report.counterexample == ("multiplicative_associativity", (100, 3, 27))
+
+
 def test_sampled_mode_reports_trials(asym9):
     report = check_axioms(asym9, mode="sampled", trials=500, seed=1)
     assert report.ok

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bracekit.braces import TrivialBrace, check_axioms, ideal_closure, is_ideal, is_left_ideal, is_prime_brace, is_simple, list_ideals, star_span, tabulate
+from bracekit.braces import SemidirectProductBrace, TrivialBrace, check_axioms, ideal_closure, is_ideal, is_left_ideal, is_prime_brace, is_simple, list_ideals, star_span, tabulate
 from bracekit.construct import (
     BlockData,
     CycleFamilySpec,
@@ -23,7 +23,6 @@ from bracekit.construct import (
     load_spec,
     nonsimple_witness,
     parse_spec,
-    semidirect_product,
     solve_exponents,
     validate_spec,
 )
@@ -32,7 +31,6 @@ from bracekit.errors import (
     ConditionViolationError,
     NoWitnessError,
     SchemaError,
-    UnsupportedParameterError,
 )
 
 CF72_DICT = {
@@ -334,7 +332,11 @@ def test_solve_exponents_frozen():
 def test_semidirect_factory_with_callable():
     A = TrivialBrace([3])
     C = TrivialBrace([2])
-    sd = semidirect_product(A, C, lambda b: [(i if b == 0 else -i % 3) for i in range(3)])
+
+    def act(b):
+        return [(i if b == 0 else -i % 3) for i in range(3)]
+
+    sd = SemidirectProductBrace(A, C, np.stack([act(b) for b in range(C.order)]))
     assert sd.order == 6
     assert check_axioms(sd, mode="exhaustive").ok
 
@@ -344,8 +346,6 @@ def test_prime_example_build():
     assert B.order == 92160
     assert B.A.order == 18432
     assert B.B.order == 5
-    with pytest.raises(UnsupportedParameterError):
-        build_prime_example(m1=4)
 
 
 def test_prime_example_inner_ideal():

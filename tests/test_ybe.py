@@ -9,6 +9,7 @@ from bracekit.braces import TrivialBrace, check_axioms
 from bracekit.construct import build_family, parse_spec
 from bracekit.errors import AxiomsNotVerifiedError, SolutionFormatError
 from bracekit.ybe import (
+    SolutionReport,
     SolutionTable,
     check_solution,
     export_solution,
@@ -93,9 +94,44 @@ def test_braid_failure_reports_counterexample():
         assert report.counterexample is not None
 
 
+def _braid_violating(n, lo, seed):
+    """Involutive table: sigma_x is the identity for x < lo and permutes lo..n-1 otherwise."""
+    rng = np.random.default_rng(seed)
+    sigma = np.tile(np.arange(n), (n, 1))
+    for x in range(lo, n):
+        sigma[x, lo:] = lo + rng.permutation(n - lo)
+    gamma = np.argsort(sigma, axis=1)[sigma, np.arange(n)[:, None]]
+    return SolutionTable(sigma=sigma, gamma=gamma)
+
+
+# Both reports were captured before the exhaustive and sampled checkers were
+# merged; the first braid failure at n = 150 lies past the first chunk.
+def test_pinned_braid_reports():
+    report = check_solution(_braid_violating(150, 120, 1))
+    assert report == SolutionReport(
+        ok=False,
+        involutive=True,
+        nondegenerate=False,
+        braid=False,
+        braid_mode="exhaustive",
+        braid_checked=150**3,
+        counterexample=(120, 120, 120),
+    )
+    report = check_solution(_braid_violating(210, 150, 2), trials=1000, seed=7)
+    assert report == SolutionReport(
+        ok=False,
+        involutive=True,
+        nondegenerate=False,
+        braid=False,
+        braid_mode="sampled",
+        braid_checked=1000,
+        counterexample=(188, 173, 184),
+    )
+
+
 def test_sampled_braid_mode():
     table = _flip(210)
-    report = check_solution(table, braid_cap=200, trials=5_000, seed=7)
+    report = check_solution(table, trials=5_000, seed=7)
     assert report.ok
     assert report.braid_mode == "sampled"
     assert report.braid_checked == 5_000
