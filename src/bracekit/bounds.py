@@ -29,6 +29,7 @@ from .modular import (
     ResidueMatrix,
     _checked_witness,
     _companion,
+    _distinct_primes,
     _hyperbolic_double,
     _require_prime,
     hyperbolic_witness,
@@ -73,12 +74,8 @@ def _even_power_product(p: int, upto: int) -> int:
     return out
 
 
-def orthogonal_group_order(kind: str, m: int, p: int) -> int:
-    """Exact order of the named orthogonal (or symplectic) group.
-
-    kind is one of KINDS; m is the rank parameter of the standard formula
-    (the half-dimension t for the characteristic-2 non-alternating kinds).
-    """
+def _check_kind(kind: str, m: int, p: int) -> tuple[int, int]:
+    """(m, p) as ints, after checking kind, m >= 1, p prime and p's parity for kind."""
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
     m = int(m)
@@ -89,15 +86,23 @@ def orthogonal_group_order(kind: str, m: int, p: int) -> int:
         raise KindPrimeMismatchError(f"{kind} requires an odd prime, got p=2")
     if kind not in _ODD_KINDS and p != 2:
         raise KindPrimeMismatchError(f"{kind} is a characteristic-2 kind, got p={p}")
+    return m, p
+
+
+def orthogonal_group_order(kind: str, m: int, p: int) -> int:
+    """Exact order of the named orthogonal (or symplectic) group.
+
+    kind is one of KINDS; m is the rank parameter of the standard formula
+    (the half-dimension t for the characteristic-2 non-alternating kinds).
+    """
+    m, p = _check_kind(kind, m, p)
     if kind == "GO_odd":
         return 2 * p ** (m * m) * _even_power_product(p, m)
     if kind == "GO_plus":
         return 2 * p ** (m * (m - 1)) * _even_power_product(p, m - 1) * (p**m - 1)
     if kind == "GO_minus":
         return 2 * p ** (m * (m - 1)) * _even_power_product(p, m - 1) * (p**m + 1)
-    if kind == "Sp2":
-        return 2 ** (m * m) * _even_power_product(2, m)
-    if kind == "O_odd2":
+    if kind in ("Sp2", "O_odd2"):
         return 2 ** (m * m) * _even_power_product(2, m)
     # O_even2
     return 2 ** (m * m) * _even_power_product(2, m - 1)
@@ -110,21 +115,10 @@ def divides_orthogonal_order(p1: int, p: int, kind: str, m: int) -> bool:
     per (kind, parity of k) cell; cross-checked against literal divisibility
     of orthogonal_group_order in the tests.
     """
-    p1 = _require_prime(p1)
+    p1, p = _distinct_primes(p1, p)
     if p1 == 2:
         raise ValueError("p1 must be an odd prime")
-    p = _require_prime(p)
-    if p == p1:
-        raise ValueError("p and p1 must be distinct")
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    if kind in _ODD_KINDS and p == 2:
-        raise KindPrimeMismatchError(f"{kind} requires an odd prime, got p=2")
-    if kind not in _ODD_KINDS and p != 2:
-        raise KindPrimeMismatchError(f"{kind} is a characteristic-2 kind, got p={p}")
+    m, p = _check_kind(kind, m, p)
     k = unit_order(p, p1)
     odd = k % 2 == 1
     if kind in ("GO_odd", "Sp2", "O_odd2"):
@@ -143,10 +137,7 @@ def minimal_witness_dimension(p: int, p1: int) -> int:
     Over Z/(p): equals 1 when p1 = 2 (take f = -id on a line) and nu(k)*k
     otherwise, with k the order of p modulo p1.
     """
-    p = _require_prime(p)
-    p1 = _require_prime(p1)
-    if p == p1:
-        raise ValueError("p and p1 must be distinct")
+    p, p1 = _distinct_primes(p, p1)
     if p1 == 2:
         return 1
     k = unit_order(p, p1)
@@ -307,10 +298,7 @@ def find_orthogonal_element(
     exhaustive lexicographic search over all p^(dim^2) matrices, bounded by
     search_budget; exhaustion proves NoWitness.
     """
-    p = _require_prime(p)
-    p1 = _require_prime(p1)
-    if p == p1:
-        raise ValueError("p and p1 must be distinct")
+    p, p1 = _distinct_primes(p, p1)
     dim = int(dim)
     if dim < 1:
         raise ValueError("dim must be a positive integer")

@@ -292,8 +292,8 @@ class AsymmetricProductBrace(FiniteBrace):
         self._dt = dt
         self.family_blocks = tuple(family_blocks) if family_blocks else None
         self._alpha_cache: dict[bytes, np.ndarray] = {}
-        self._validate()
         self._gen_powers = [self._power_table(self._gens[l], int(self._sm[l])) for l in range(ds)]
+        self._validate()
         super().__init__(self.codec.size)
 
     # matrices act on t-coordinates; row i of any such matrix lives mod t_moduli[i]
@@ -325,10 +325,7 @@ class AsymmetricProductBrace(FiniteBrace):
             g = self._gens[l]
             if np.any((g * tm[None, :]) % tm[:, None]):
                 raise ConditionViolationError("action does not respect the coordinate moduli")
-            p = ident
-            for _ in range(int(sm[l])):
-                p = self._reduce(g @ p)
-            if not self._map_equal(p, ident):
+            if not self._map_equal(g @ self._gen_powers[l][-1], ident):
                 raise ConditionViolationError(
                     "action generator order does not divide its coordinate modulus"
                 )
@@ -794,21 +791,34 @@ def ideal_closure(
             raise ValueError(f"seed {s} outside carrier")
         span.insert(s)
 
-    gens = B.multiplicative_generators()
-    inv_gens = B.inv(gens)
+    maps = _ideal_maps(B, two_sided)
     ptr = 0
     while ptr < span.size and span.size < B.order:
         if span.size > budget:
             raise BudgetExceededError(f"closure exceeded budget {budget}")
         batch = span.members[ptr:]
         ptr = span.size
-        for g, gi in zip(gens, inv_gens):
-            span.insert_many(B.lam(g, batch))
-            if two_sided:
-                span.insert_many(B.mul(B.mul(g, batch), gi))
+        for image in maps:
+            span.insert_many(image(batch))
             if span.size == B.order:
                 break
     return _record_from_span(span, seed_list, two_sided)
+
+
+def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list:
+    """The maps an additive subgroup must be invariant under to be a (left) ideal.
+
+    For each multiplicative generator g: lambda_g and, when ``two_sided``,
+    x -> g x g^-1 right after it. The generators are inverted in one call.
+    """
+    gens = B.multiplicative_generators()
+    if not two_sided:
+        return [lambda xs, g=g: B.lam(g, xs) for g in gens.tolist()]
+    maps = []
+    for g, gi in zip(gens.tolist(), B.inv(gens).tolist()):
+        maps.append(lambda xs, g=g: B.lam(g, xs))
+        maps.append(lambda xs, g=g, gi=gi: B.mul(B.mul(g, xs), gi))
+    return maps
 
 
 def _as_members(obj) -> np.ndarray:
@@ -816,8 +826,8 @@ def _as_members(obj) -> np.ndarray:
     return np.unique(np.asarray(members, dtype=np.int64))
 
 
-def is_left_ideal(B: FiniteBrace, members) -> bool:
-    """Exhaustive-equivalent check: additive subgroup, invariant under every lambda."""
+def _is_closed(B: FiniteBrace, members, two_sided: bool) -> bool:
+    """Whether ``members`` is an additive subgroup invariant under ``_ideal_maps``."""
     members = _as_members(members)
     if members.size == 0 or members[0] < 0 or members[-1] >= B.order:
         return False
@@ -830,26 +840,17 @@ def is_left_ideal(B: FiniteBrace, members) -> bool:
         span.insert(int(x))
         if span.size > members.size:
             return False
-    if span.size != members.size:
-        return False
-    for g in B.multiplicative_generators():
-        if not np.all(mask[B.lam(int(g), members)]):
-            return False
-    return True
+    return all(np.all(mask[image(members)]) for image in _ideal_maps(B, two_sided))
+
+
+def is_left_ideal(B: FiniteBrace, members) -> bool:
+    """Exhaustive-equivalent check: additive subgroup, invariant under every lambda."""
+    return _is_closed(B, members, two_sided=False)
 
 
 def is_ideal(B: FiniteBrace, members) -> bool:
     """Left ideal that is also normal in the multiplicative group."""
-    members = _as_members(members)
-    if not is_left_ideal(B, members):
-        return False
-    mask = np.zeros(B.order, dtype=bool)
-    mask[members] = True
-    for g in B.multiplicative_generators():
-        conj = B.mul(B.mul(int(g), members), B.inv(int(g)))
-        if not np.all(mask[conj]):
-            return False
-    return True
+    return _is_closed(B, members, two_sided=True)
 
 
 @dataclass

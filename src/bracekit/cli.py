@@ -65,47 +65,55 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
-        if spec:
-            p.add_argument("--spec", required=True, help="path to a family spec JSON file")
-        p.add_argument("--out", help="write the result here instead of standard output")
-        p.add_argument("--budget", type=int, default=1_000_000, help="closure/search budget")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
+    flags = {
+        "--spec": dict(required=True, help="path to a family spec JSON file"),
+        "--out": dict(help="write the result here instead of standard output"),
+        "--budget": dict(type=int, default=1_000_000, help="closure/search budget"),
+        "--seed": dict(type=int, default=0, help="seed for sampled checks"),
+        "--json": dict(action="store_true", help="emit machine-readable JSON"),
+    }
 
-    p = sub.add_parser("build", help="build a family brace and report its shape")
-    common(p)
+    def add_parser(name, summary, *names):
+        p = sub.add_parser(name, help=summary)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        return p
 
-    p = sub.add_parser("verify", help="axiom-check a family brace and test simplicity")
-    common(p)
+    add_parser("build", "build a family brace and report its shape", "--spec", "--out", "--json")
+
+    p = add_parser(
+        "verify",
+        "axiom-check a family brace and test simplicity",
+        "--spec", "--out", "--budget", "--seed", "--json",
+    )
     p.add_argument(
         "--expect-simple",
         action="store_true",
         help="exit 1 unless the brace is verified simple",
     )
 
-    p = sub.add_parser("analyze", help="multiplicative group structure report")
-    common(p)
+    add_parser(
+        "analyze", "multiplicative group structure report", "--spec", "--out", "--budget", "--json"
+    )
 
-    p = sub.add_parser("bounds", help="unit orders and exponent lower bounds for a prime cycle")
+    p = add_parser(
+        "bounds", "unit orders and exponent lower bounds for a prime cycle", "--out", "--json"
+    )
     p.add_argument("--primes", required=True, help="comma-separated primes, e.g. 3,7")
-    p.add_argument("--out", help="write the result here instead of standard output")
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
-    p = sub.add_parser("witness", help="find an orthogonal block witness for (p, p1)")
+    p = add_parser("witness", "find an orthogonal block witness for (p, p1)", "--budget", "--out")
     p.add_argument("--p", type=int, required=True, help="field characteristic")
     p.add_argument("--p1", type=int, required=True, help="required map order")
     p.add_argument("--dim", type=int, help="dimension (default: the minimal one)")
-    p.add_argument("--budget", type=int, default=1_000_000, help="search budget")
-    p.add_argument("--out", help="write the result here instead of standard output")
-    p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
-    p = sub.add_parser("export", help="derive and export the YBE solution table")
-    common(p)
+    p = add_parser("export", "derive and export the YBE solution table", "--spec", "--out", "--seed")
     p.add_argument("--samples", type=int, default=1_000_000, help="braid triples when sampled")
 
-    p = sub.add_parser("prime-example", help="build and verify the prime non-simple product")
-    common(p, spec=False)
+    p = add_parser(
+        "prime-example",
+        "build and verify the prime non-simple product",
+        "--out", "--budget", "--seed", "--json",
+    )
     p.add_argument("--samples", type=int, default=200, help="random closure seeds per side")
     p.add_argument(
         "--full",
@@ -142,21 +150,23 @@ def _render(report: dict, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_valid_spec(args):
+class _InvalidSpec(Exception):
+    """Raised after every validation failure of a spec has been printed; exit code 2."""
+
+
+def _build_valid_spec(args):
+    """The validation report of ``--spec`` and the brace it describes."""
     spec = load_spec(args.spec)
     report = validate_spec(spec)
     if not report.ok:
         for failure in report.failures:
             print(f"invalid spec: {failure}", file=sys.stderr)
-        return spec, report, False
-    return spec, report, True
+        raise _InvalidSpec
+    return report, build_family(spec)
 
 
 def _cmd_build(args) -> int:
-    spec, report, ok = _load_valid_spec(args)
-    if not ok:
-        return 2
-    B = build_family(spec)
+    report, B = _build_valid_spec(args)
     out = {
         "kind": report.kind,
         "order": B.order,
@@ -169,10 +179,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec, report, ok = _load_valid_spec(args)
-    if not ok:
-        return 2
-    B = build_family(spec)
+    report, B = _build_valid_spec(args)
     axioms = check_axioms(B, mode="auto", seed=args.seed)
     result = is_simple(B, budget=args.budget)
     out = {
@@ -205,10 +212,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    spec, _, ok = _load_valid_spec(args)
-    if not ok:
-        return 2
-    B = build_family(spec)
+    _, B = _build_valid_spec(args)
     report = group_report(B, budget=args.budget)
     _emit(_render(report.as_dict(), args.json), args.out)
     return 0
@@ -230,10 +234,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    spec, _, ok = _load_valid_spec(args)
-    if not ok:
-        return 2
-    B = build_family(spec)
+    _, B = _build_valid_spec(args)
     axioms = check_axioms(B, mode="auto", seed=args.seed)
     if not axioms.ok:
         print("axiom check failed; not exporting", file=sys.stderr)
@@ -281,6 +282,8 @@ def run(argv=None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args)
+    except _InvalidSpec:
+        return 2
     except _VERIFICATION_ERRORS as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

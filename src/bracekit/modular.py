@@ -2,9 +2,12 @@
 
 Scalars are canonical representatives in ``[0, p)`` and every operation
 reduces eagerly, so equal values always have identical representations and
-serialization is bit-stable. Matrices are immutable and hashable. Inverses
-and determinants use Gaussian elimination with first-nonzero pivot selection,
-which is deterministic and exact over a field. The moduli in this package are
+serialization is bit-stable. Matrices are immutable and hashable.
+Determinants, inverses and null spaces all come from one Gauss-Jordan routine,
+``_row_reduce``, with first-nonzero pivot selection, which is deterministic and
+exact over a field. It works on lists of Python ints, not numpy rows: the
+matrices here are at most a few dozen rows wide, so numpy's per-call overhead
+would outweigh its vectorised row operations. The moduli in this package are
 tiny (single-digit primes in all shipped constructions), so primality is
 established by trial division at construction time and invalid data fails
 fast rather than corrupting downstream algebra.
@@ -12,7 +15,6 @@ fast rather than corrupting downstream algebra.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +64,13 @@ def _require_prime(p: int) -> int:
     return p
 
 
+def _distinct_primes(p: int, q: int) -> tuple[int, int]:
+    p, q = _require_prime(p), _require_prime(q)
+    if p == q:
+        raise ValueError(f"expected two distinct primes, got {p} twice")
+    return p, q
+
+
 def unit_order(a: int, p: int) -> int:
     """Multiplicative order of ``a`` in (Z/(p))^*.
 
@@ -69,7 +78,7 @@ def unit_order(a: int, p: int) -> int:
     """
     p = _require_prime(p)
     a = int(a) % p
-    if a == 0 or math.gcd(a, p) != 1:
+    if a == 0:
         raise NotAUnitError(f"{a} is not a unit modulo {p}")
     e, x = 1, a
     while x != 1:
@@ -132,10 +141,6 @@ class ResidueMatrix:
     @classmethod
     def identity(cls, n: int, modulus: int) -> "ResidueMatrix":
         return cls(np.eye(n, dtype=np.int64), modulus)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, modulus: int) -> "ResidueMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), modulus)
 
     @classmethod
     def block_diag(cls, a: "ResidueMatrix", b: "ResidueMatrix") -> "ResidueMatrix":
@@ -223,92 +228,74 @@ class ResidueMatrix:
         return f"ResidueMatrix({self.tolist()}, modulus={self.modulus})"
 
     def det(self) -> int:
-        """Determinant in [0, p), by fraction-free elimination mod p."""
+        """Determinant in [0, p)."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        p = self.modulus
-        a = self._cells.copy()
-        n = self.rows
-        det = 1
-        for col in range(n):
-            pivot_rows = np.nonzero(a[col:, col])[0]
-            if pivot_rows.size == 0:
-                return 0
-            r = col + int(pivot_rows[0])
-            if r != col:
-                a[[col, r]] = a[[r, col]]
-                det = -det
-            piv = int(a[col, col])
-            det = det * piv % p
-            inv_piv = pow(piv, -1, p)
-            below = a[col + 1 :, col]
-            if below.size:
-                factors = below * inv_piv % p
-                a[col + 1 :] = (a[col + 1 :] - factors[:, None] * a[col]) % p
-        return det % p
+        return _row_reduce(self._cells.tolist(), self.modulus, self.cols)[2]
 
     def inverse(self) -> "ResidueMatrix":
-        """Inverse by Gauss-Jordan elimination with first-nonzero pivots."""
+        """Inverse, by reducing [A | I] to [I | A^-1]."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        p = self.modulus
-        n = self.rows
-        a = self._cells.copy()
-        inv = np.eye(n, dtype=np.int64)
-        for col in range(n):
-            pivot_rows = np.nonzero(a[col:, col])[0]
-            if pivot_rows.size == 0:
-                raise SingularMatrixError(f"matrix is singular modulo {p}")
-            r = col + int(pivot_rows[0])
-            if r != col:
-                a[[col, r]] = a[[r, col]]
-                inv[[col, r]] = inv[[r, col]]
-            scale = pow(int(a[col, col]), -1, p)
-            a[col] = a[col] * scale % p
-            inv[col] = inv[col] * scale % p
-            for r2 in range(n):
-                if r2 != col and a[r2, col]:
-                    f = int(a[r2, col])
-                    a[r2] = (a[r2] - f * a[col]) % p
-                    inv[r2] = (inv[r2] - f * inv[col]) % p
-        return ResidueMatrix(inv, p)
+        n, p = self.rows, self.modulus
+        augmented = np.hstack([self._cells, np.eye(n, dtype=np.int64)]).tolist()
+        reduced, pivots, _ = _row_reduce(augmented, p, n)
+        if len(pivots) < n:
+            raise SingularMatrixError(f"matrix is singular modulo {p}")
+        return ResidueMatrix([row[n:] for row in reduced], p)
+
+
+def _row_reduce(a: list, p: int, cols: int) -> tuple[list, list, int]:
+    """Gauss-Jordan elimination of the rows ``a`` over Z/(p), on the first ``cols`` columns.
+
+    Each pivot is the first nonzero entry at or below the next pivot row.
+    Returns the reduced rows, the pivot columns and, when ``a`` has ``cols``
+    rows, the determinant of its leading cols x cols block, in [0, p).
+    """
+    rows = list(a)
+    pivots: list[int] = []
+    det = 1
+    for c in range(cols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            det = 0
+            continue
+        if hit != r:
+            rows[r], rows[hit] = rows[hit], rows[r]
+            det = -det
+        piv = rows[r][c]
+        det = det * piv % p
+        scale = pow(piv, -1, p)
+        pivot_row = rows[r] = [v * scale % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(v - f * w) % p for v, w in zip(row, pivot_row)]
+        pivots.append(c)
+    return rows, pivots, det
 
 
 def nullspace_mod(a, p: int) -> np.ndarray:
     """Row basis of the right null space of ``a`` over Z/(p).
 
     Returns a (k, cols) int64 array whose rows span {x : a x = 0}; k = 0
-    means the map is injective. Gauss-Jordan with first-nonzero pivots, so
-    the basis is deterministic.
+    means the map is injective. Row k sets free column c_k to 1 and reads the
+    pivot coordinates off the reduced row echelon form, so the basis is
+    deterministic.
     """
     p = _require_prime(p)
     m = np.mod(np.asarray(a, dtype=np.int64), p)
     if m.ndim != 2:
         raise ValueError("expected a matrix")
-    rows, cols = m.shape
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        hits = np.nonzero(m[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = m[r] * pow(int(m[r, c]), -1, p) % p
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - int(m[rr, c]) * m[r]) % p
-        pivot_cols.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in set(pivot_cols)]
+    cols = m.shape[1]
+    reduced, pivots, _ = _row_reduce(m.tolist(), p, cols)
+    free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
     for k, c in enumerate(free):
         basis[k, c] = 1
-        for rr, pc in enumerate(pivot_cols):
-            basis[k, pc] = -m[rr, c] % p
+        for row, pc in zip(reduced, pivots):
+            basis[k, pc] = -row[c] % p
     return basis
 
 
@@ -427,10 +414,7 @@ def companion_cyclotomic(q: int, p: int) -> ResidueMatrix:
     last column; for q = 2 it degenerates to the 1x1 matrix [-1]. Its
     multiplicative order is exactly q.
     """
-    q = _require_prime(q)
-    p = _require_prime(p)
-    if q == p:
-        raise ValueError("q and p must be distinct primes")
+    q, p = _distinct_primes(q, p)
     return _companion([1] * q, p)
 
 
@@ -462,10 +446,7 @@ def hyperbolic_witness(q: int, p: int) -> tuple[BilinearForm, OrthogonalMap]:
     (orthogonality, order exactly q, f - id bijective) are verified before
     returning; q = 2 degenerates to the 1-dimensional witness ([1], [-1]).
     """
-    q = _require_prime(q)
-    p = _require_prime(p)
-    if q == p:
-        raise ValueError("q and p must be distinct primes")
+    q, p = _distinct_primes(q, p)
     if q == 2:
         form = BilinearForm(ResidueMatrix([[1]], p))
         f = ResidueMatrix([[-1]], p)

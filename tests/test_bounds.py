@@ -27,7 +27,13 @@ from bracekit.errors import (
     KindPrimeMismatchError,
     NoWitnessError,
 )
-from bracekit.modular import is_orthogonal, matrix_order, minus_id_bijective
+from bracekit.modular import (
+    companion_cyclotomic,
+    hyperbolic_witness,
+    is_orthogonal,
+    matrix_order,
+    minus_id_bijective,
+)
 
 
 def test_nu_values():
@@ -84,6 +90,28 @@ def test_divisibility_guards():
         divides_orthogonal_order(3, 3, "GO_odd", 1)
     with pytest.raises(KindPrimeMismatchError):
         divides_orthogonal_order(3, 2, "GO_odd", 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: companion_cyclotomic(3, 3),
+        lambda: hyperbolic_witness(3, 3),
+        lambda: minimal_witness_dimension(3, 3),
+        lambda: find_orthogonal_element(3, 3, 2),
+        lambda: divides_orthogonal_order(3, 3, "GO_odd", 1),
+    ],
+    ids=[
+        "companion_cyclotomic",
+        "hyperbolic_witness",
+        "minimal_witness_dimension",
+        "find_orthogonal_element",
+        "divides_orthogonal_order",
+    ],
+)
+def test_equal_primes_rejected(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_minimal_witness_dimension():

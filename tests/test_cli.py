@@ -77,6 +77,21 @@ def test_bad_flags_exit_two(capsys):
     assert run(["verify", "--spec", CF72, "--budget", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--spec", CF72, "--seed", "1"],
+        ["build", "--spec", CF72, "--budget", "5"],
+        ["analyze", "--spec", CF72, "--seed", "1"],
+        ["export", "--spec", CF72, "--budget", "5"],
+        ["export", "--spec", CF72, "--json"],
+        ["witness", "--p", "2", "--p1", "3", "--json"],
+    ],
+)
+def test_flags_no_handler_reads_exit_two(argv, capsys):
+    assert run(argv) == 2
+
+
 def test_analyze(capsys):
     assert run(["analyze", "--spec", CF72, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)

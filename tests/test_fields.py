@@ -1,5 +1,7 @@
 """Exact arithmetic over Z/(p): residues, matrices, forms, companion maps."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from bracekit.modular import (
     is_prime,
     matrix_order,
     minus_id_bijective,
+    nullspace_mod,
     unit_order,
 )
 
@@ -104,6 +107,12 @@ def test_matrix_inverse_frozen():
     assert (g @ g.inverse()).is_identity()
 
 
+def test_matrix_inverse_frozen_4x4():
+    m = ResidueMatrix([[1, 2, 0, 3], [4, 1, 5, 2], [0, 3, 6, 1], [2, 0, 1, 4]], 7)
+    assert m.det() == 6
+    assert m.inverse().tolist() == [[3, 6, 3, 1], [1, 6, 0, 5], [4, 5, 5, 2], [1, 1, 6, 1]]
+
+
 def test_matrix_inverse_singular():
     with pytest.raises(SingularMatrixError):
         ResidueMatrix([[1, 2], [2, 4]], 5).inverse()
@@ -115,6 +124,83 @@ def test_determinant_values():
     assert ResidueMatrix.identity(3, 7).det() == 1
     # row swap flips sign: [[0,1],[1,0]] has det -1 = p-1
     assert ResidueMatrix([[0, 1], [1, 0]], 7).det() == 6
+
+
+def _leibniz_det(cells, p):
+    n = len(cells)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= cells[i][j]
+        total += term
+    return total % p
+
+
+def _span_size(rows, cols, p):
+    """Number of distinct Z/(p)-combinations of ``rows``, i.e. p^rank."""
+    span = {(0,) * cols}
+    for row in rows:
+        span = {tuple((v + c * r) % p for v, r in zip(vec, row)) for vec in span for c in range(p)}
+    return len(span)
+
+
+@st.composite
+def residue_matrix_cells(draw, max_rows=4, max_cols=4, square=False):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    rows = draw(st.integers(min_value=1, max_value=max_rows))
+    cols = rows if square else draw(st.integers(min_value=1, max_value=max_cols))
+    # zero rows and repeated rows make rank-deficient inputs common
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=p - 1), min_size=cols, max_size=cols),
+            min_size=1,
+            max_size=rows,
+        )
+    )
+    pool.append([0] * cols)
+    cells = [draw(st.sampled_from(pool)) for _ in range(rows)]
+    return cells, p
+
+
+@settings(max_examples=150)
+@given(residue_matrix_cells(square=True))
+def test_det_matches_leibniz_expansion(case):
+    cells, p = case
+    assert ResidueMatrix(cells, p).det() == _leibniz_det(cells, p)
+
+
+@settings(max_examples=150)
+@given(residue_matrix_cells(max_rows=4, max_cols=5))
+def test_nullspace_is_a_basis_of_the_kernel(case):
+    cells, p = case
+    a = np.asarray(cells, dtype=np.int64)
+    basis = nullspace_mod(a, p)
+    cols = a.shape[1]
+    rank = [p**r for r in range(cols + 1)].index(_span_size(cells, cols, p))
+    assert basis.shape == (cols - rank, cols)
+    assert not np.any(a @ basis.T % p)
+    assert _span_size(basis.tolist(), cols, p) == p ** basis.shape[0]
+
+
+def test_nullspace_frozen_bases():
+    assert nullspace_mod([[1, 2, 3], [2, 4, 6], [1, 0, 1]], 7).tolist() == [[6, 6, 1]]
+    assert nullspace_mod([[1, 1, 0, 2], [0, 1, 1, 1]], 3).tolist() == [[1, 2, 1, 0], [2, 2, 0, 1]]
+    assert nullspace_mod([[0, 0, 0], [0, 0, 0]], 5).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert nullspace_mod(np.zeros((0, 3), dtype=np.int64), 5).tolist() == [
+        [1, 0, 0],
+        [0, 1, 0],
+        [0, 0, 1],
+    ]
+    assert nullspace_mod([[1, 2], [3, 4], [5, 6]], 7).shape == (0, 2)
+    assert nullspace_mod([[2, 4, 1, 3, 0], [1, 2, 3, 4, 1], [3, 1, 4, 2, 1]], 5).tolist() == [
+        [3, 1, 0, 0, 0],
+        [2, 0, 1, 0, 0],
+        [1, 0, 0, 1, 0],
+    ]
+    assert nullspace_mod([[0, 1, 1], [0, 0, 0], [0, 2, 2]], 3).tolist() == [[1, 0, 0], [0, 2, 1]]
+    assert nullspace_mod([[1, 2], [2, 4]], 5).tolist() == [[3, 1]]
 
 
 @st.composite
