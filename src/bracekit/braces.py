@@ -7,7 +7,10 @@ carries its elements as integers 0..order-1 and implements four vectorized
 kernels (_add, _neg, _mul, _inv) on int64 index arrays; everything else
 (subtraction, the lambda maps, the star product, ideal machinery) is derived
 from those kernels, so each concrete carrier only has to get four formulas
-right.
+right. The kernels take 1-d int64 operands that have equal lengths or length
+1, and broadcast a length-1 operand themselves: a lambda map or a conjugation
+applies one generator to a whole batch, and that generator is then decoded
+and paired once, not once per batch element.
 
 Index 0 is always the shared identity for carriers built from formulas; table
 carriers detect their identity from the table so that deliberately corrupted
@@ -67,7 +70,9 @@ class FiniteBrace:
         self._axiom_report: Optional["AxiomReport"] = None
         self._mult_gens: Optional[np.ndarray] = None
 
-    # subclasses implement these four on 1-d int64 arrays
+    # subclasses implement these four on 1-d int64 arrays; the binary ones
+    # take operands of equal length or of length 1, never mutate them, and
+    # return a new array of the broadcast length
     def _add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -81,15 +86,21 @@ class FiniteBrace:
         raise NotImplementedError
 
     def _binary(self, kernel, x, y):
-        xa, ya = np.broadcast_arrays(_as_index_array(x), _as_index_array(y))
-        out = kernel(xa.ravel().copy(), ya.ravel().copy()).reshape(xa.shape)
+        xa, ya = _as_index_array(x), _as_index_array(y)
+        shape = xa.shape
+        if ya.shape != shape:
+            shape = np.broadcast_shapes(shape, ya.shape)
+            # a single element reaches the kernel as length 1, not as a copy per element
+            if xa.size != 1 and ya.size != 1:
+                xa, ya = np.broadcast_to(xa, shape), np.broadcast_to(ya, shape)
+        out = kernel(xa.ravel(), ya.ravel()).reshape(shape)
         if out.ndim == 0:
             return int(out)
         return out
 
     def _unary(self, kernel, x):
         xa = _as_index_array(x)
-        out = kernel(xa.ravel().copy()).reshape(xa.shape)
+        out = kernel(xa.ravel()).reshape(xa.shape)
         if out.ndim == 0:
             return int(out)
         return out
@@ -180,7 +191,11 @@ class BraceElement:
 
 
 class _MixedRadix:
-    """Mixed-radix codec; the first-listed coordinate varies fastest."""
+    """Mixed-radix codec; the first-listed coordinate varies fastest.
+
+    ``reordered`` lists the same coordinates in another order, with the
+    weights they had, so it encodes to the same indices.
+    """
 
     def __init__(self, moduli):
         self.moduli = np.asarray(moduli, dtype=np.int64)
@@ -193,12 +208,38 @@ class _MixedRadix:
             raise ValueError(f"carrier of size {exact} is too large to index")
         self.weights = np.concatenate(([1], np.cumprod(self.moduli)[:-1]))
         self.size = exact
+        self._digits = self._digit_order()
+
+    def _digit_order(self) -> list[tuple[int, int]]:
+        """(coordinate, modulus) pairs from the lightest weight up."""
+        order = np.argsort(self.weights, kind="stable").tolist()
+        return [(j, int(self.moduli[j])) for j in order]
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
-        return idx[:, None] // self.weights[None, :] % self.moduli[None, :]
+        """(n, d) coordinates of the 1-d ``idx``.
+
+        Digits come off from the lightest weight up, one divmod by a scalar
+        per coordinate, which is several times faster than dividing an
+        (n, d) grid by the weights. The result is the transpose of a (d, n)
+        array.
+        """
+        out = np.empty((self.moduli.size, idx.size), dtype=np.int64)
+        rest = idx
+        for j, m in self._digits:
+            rest, out[j] = np.divmod(rest, m)
+        return out.T
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
         return coords @ self.weights
+
+    def reordered(self, order) -> "_MixedRadix":
+        """The codec whose coordinate i is this codec's coordinate ``order[i]``."""
+        out = object.__new__(_MixedRadix)
+        out.moduli = self.moduli[order]
+        out.weights = self.weights[order]
+        out.size = self.size
+        out._digits = out._digit_order()
+        return out
 
 
 def _one_hot_generators(self) -> np.ndarray:
@@ -289,9 +330,13 @@ class AsymmetricProductBrace(FiniteBrace):
             raise ValueError("layout must be a permutation of the coordinates")
         self._inv_layout = np.argsort(self._layout)
         self.codec = _MixedRadix(logical_moduli[self._layout])
+        # decodes straight to [t..., s...] and encodes from it
+        self._logical = self.codec.reordered(self._inv_layout)
         self._dt = dt
         self.family_blocks = tuple(family_blocks) if family_blocks else None
-        self._alpha_cache: dict[bytes, np.ndarray] = {}
+        # s @ _s_weights is the integer key of an s-vector; alpha is cached per key
+        self._s_weights = _MixedRadix(self._sm).weights
+        self._alpha_cache: dict[int, np.ndarray] = {}
         self._gen_powers = [self._power_table(self._gens[l], int(self._sm[l])) for l in range(ds)]
         self._validate()
         super().__init__(self.codec.size)
@@ -339,33 +384,45 @@ class AsymmetricProductBrace(FiniteBrace):
                     raise ConditionViolationError("action generators do not commute")
 
     def _split(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        logical = self.codec.decode(idx)[:, self._inv_layout]
+        logical = self._logical.decode(idx)
         return logical[:, : self._dt], logical[:, self._dt :]
 
     def _join(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        logical = np.concatenate([t, s], axis=1)
-        return self.codec.encode(logical[:, self._layout])
+        return self._logical.encode(np.concatenate([t, s], axis=1))
 
     def _pair_val(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+        # a single row is contracted with the pairing first; b is symmetric,
+        # so that row may be moved to the left
+        if t2.shape[0] == 1:
+            t1, t2 = t2, t1
+        if t1.shape[0] == 1:
+            return t2 @ (t1[0] @ self._pairing).T % self._sm
         return np.einsum("kij,ni,nj->nk", self._pairing, t1, t2) % self._sm
 
-    def _alpha_matrix(self, key: tuple[int, ...]) -> np.ndarray:
-        packed = bytes(key)
-        m = self._alpha_cache.get(packed)
+    def _alpha_matrix(self, key: int) -> np.ndarray:
+        m = self._alpha_cache.get(key)
         if m is None:
             m = np.eye(self._dt, dtype=np.int64)
-            for l, e in enumerate(key):
-                m = self._reduce(self._gen_powers[l][e] @ m)
-            self._alpha_cache[packed] = m
+            for l, w in enumerate(self._s_weights.tolist()):
+                m = self._reduce(self._gen_powers[l][key // w % int(self._sm[l])] @ m)
+            self._alpha_cache[key] = m
         return m
 
     def _alpha(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        uniq, which = np.unique(s, axis=0, return_inverse=True)
+        """Rows alpha_{s_i}(t_i); ``s`` and ``t`` have equal lengths or length 1."""
+        keys = s @ self._s_weights
+        if keys.size == 1:
+            return t @ self._alpha_matrix(int(keys[0])).T % self._tm
+        uniq, which = np.unique(keys, return_inverse=True)
+        if t.shape[0] == 1:
+            images = np.empty((uniq.size, self._dt), dtype=np.int64)
+            for u, key in enumerate(uniq.tolist()):
+                images[u] = t[0] @ self._alpha_matrix(key).T % self._tm
+            return images[which]
         out = np.empty_like(t)
-        for u, key in enumerate(uniq):
+        for u, key in enumerate(uniq.tolist()):
             sel = which == u
-            m = self._alpha_matrix(tuple(int(v) for v in key))
-            out[sel] = t[sel] @ m.T % self._tm
+            out[sel] = t[sel] @ self._alpha_matrix(key).T % self._tm
         return out
 
     def _add(self, x, y):

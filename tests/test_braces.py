@@ -5,6 +5,9 @@ defining formulas (componentwise addition with a pairing correction, action
 twist on multiplication) before the implementation existed.
 """
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +30,9 @@ from bracekit.braces import (
     multiplicative_closure,
     star_span,
     tabulate,
+    _MixedRadix,
 )
+from bracekit.construct import build_family, load_spec
 from bracekit.errors import (
     ActionNotAutomorphismError,
     BudgetExceededError,
@@ -50,6 +55,14 @@ def sd6():
     A = TrivialBrace([3])
     B = TrivialBrace([2])
     return SemidirectProductBrace(A, B, [[0, 1, 2], [0, 2, 1]])
+
+
+@pytest.fixture(scope="module")
+def cf72():
+    # the shipped spec; its storage layout interleaves t and s coordinates
+    B = build_family(load_spec(Path(__file__).resolve().parent.parent / "demos/specs/cf72.json"))
+    assert B._layout.tolist() == [0, 1, 3, 2, 4]
+    return B
 
 
 def test_trivial_brace_mul_is_add():
@@ -146,6 +159,95 @@ def test_validation_rejects_noncommuting_generators():
     zero2 = np.zeros((2, 2), dtype=int).tolist()
     with pytest.raises(ConditionViolationError, match="commute"):
         AsymmetricProductBrace([3, 3], [2, 3], [zero2, zero2], [swap, shear])
+
+
+@pytest.mark.parametrize(
+    "t_modulus, s_modulus, g",
+    [
+        (2, 257, 1),  # trivial action
+        (3, 258, 2),  # alpha_s(t) = 2^s t mod 3
+    ],
+)
+def test_s_moduli_above_256(t_modulus, s_modulus, g):
+    # one t and one s coordinate, index t + t_modulus * s; products and
+    # inverses against the defining formulas
+    B = AsymmetricProductBrace([t_modulus], [s_modulus], np.zeros((1, 1, 1)), [[[g]]])
+    x = B.elements()
+    t, s = x % t_modulus, x // t_modulus
+    alpha = np.array([pow(g, e, t_modulus) for e in range(s_modulus)])
+    # (t1, s1)(t2, s2) = (t1 + alpha_{s1}(t2), s1 + s2)
+    want = (t[:, None] + alpha[s][:, None] * t[None, :]) % t_modulus + t_modulus * (
+        (s[:, None] + s[None, :]) % s_modulus
+    )
+    assert np.array_equal(B.mul(x[:, None], x[None, :]), want)
+    # (t, s)^-1 = (alpha_{-s}(-t), -s)
+    s_inv = -s % s_modulus
+    assert np.array_equal(B.inv(x), alpha[s_inv] * -t % t_modulus + t_modulus * s_inv)
+
+
+_EMPTY = np.array([], dtype=np.int64)
+
+
+@pytest.mark.parametrize("name", ["trivial", "cf72", "sd6", "table"])
+@pytest.mark.parametrize("op", ["add", "mul", "lam", "star"])
+def test_kernel_contract(cf72, sd6, name, op):
+    # every operand shape gives what the operation gives element by element,
+    # and leaves its inputs as they were
+    B = {
+        "trivial": TrivialBrace([2, 3, 4]),
+        "cf72": cf72,
+        "sd6": sd6,
+        "table": TableBrace(*tabulate(cf72)),
+    }[name]
+    f = getattr(B, op)
+    idx = B.elements()
+    grid = idx[:: max(1, B.order // 24)]
+    g = B.order - 1
+    pairs = [
+        (g, idx),
+        (idx, g),
+        (_EMPTY, g),
+        (g, _EMPTY),
+        (grid[:, None], grid[None, :]),
+    ]
+    for x, y in pairs:
+        kept = [np.array(v, copy=True) for v in (x, y)]
+        got = f(x, y)
+        xb, yb = np.broadcast_arrays(x, y)
+        want = np.array([f(int(a), int(b)) for a, b in zip(xb.ravel(), yb.ravel())], dtype=np.int64)
+        assert got.dtype == np.int64
+        assert got.shape == xb.shape
+        assert np.array_equal(got, want.reshape(xb.shape))
+        for v, old in zip((x, y), kept):
+            assert np.array_equal(v, old)
+
+
+def test_kernels_go_through_the_codec(cf72, monkeypatch):
+    # perfbench's traced runs see the codec layer by wrapping these two
+    # methods, so every kernel of a codec carrier has to call them
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(_MixedRadix, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(_MixedRadix, name, wrapper)
+
+    counting("decode")
+    counting("encode")
+    x = cf72.elements()
+    for op, args, want in (
+        ("add", (x, x[::-1]), (2, 1)),
+        ("mul", (x, x[::-1]), (2, 1)),
+        ("neg", (x,), (1, 1)),
+        ("inv", (x,), (1, 1)),
+    ):
+        calls.clear()
+        getattr(cf72, op)(*args)
+        assert (calls["decode"], calls["encode"]) == want, op
 
 
 def test_layout_permutes_storage_only():

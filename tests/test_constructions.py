@@ -6,6 +6,7 @@ simulation written directly from the componentwise formulas, so the compiled
 pairing/action/layout cannot drift from the intended algebra unnoticed.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -109,6 +110,25 @@ def test_cf72_matches_naive_simulation(cf72):
     naive_add, naive_mul = _naive_cf72_tables()
     assert np.array_equal(add, naive_add)
     assert np.array_equal(mul, naive_mul)
+
+
+# SHA-256 of the little-endian int64 addition table followed by the
+# multiplication table, captured before the kernels keyed alpha by integer
+# s-keys and took length-1 operands; all three layouts interleave t and s
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (CF72_DICT, "341375be97c44c9cd09ce38763f38002c918438cbbba22ebe9db4f778bc4d88d"),
+        (MF72_DICT, "341375be97c44c9cd09ce38763f38002c918438cbbba22ebe9db4f778bc4d88d"),
+        (NS216_DICT, "53e23dd13fb60ea7ce38f2f96590b6918e8eaaadc5dcd76b46a0c7dda2c5cb93"),
+    ],
+    ids=["cf72", "mf72", "ns216"],
+)
+def test_tabulate_frozen(spec, digest):
+    B = build_family(parse_spec(spec))
+    assert B._layout.tolist() != list(range(B._layout.size))
+    add, mul = tabulate(B)
+    assert hashlib.sha256(add.astype("<i8").tobytes() + mul.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_cf72_basics(cf72):
