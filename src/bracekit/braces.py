@@ -631,6 +631,8 @@ def _check_triples(n: int, laws: dict, mode: str, trials: int, seed: int):
         covered = n**3
     else:
         covered = int(trials)
+        if covered < 1:
+            raise ValueError(f"sampled checks need at least 1 trial, got {trials}")
         chunks = [np.random.default_rng(seed).integers(0, n, size=(3, covered))]
     for a, b, c in chunks:
         triple = np.broadcast_arrays(a, b, c)
@@ -938,11 +940,24 @@ def is_simple(B: FiniteBrace, budget: int = 1_000_000) -> SimplicityResult:
     return SimplicityResult(True, None, closures)
 
 
+def _orbit_labels(B: FiniteBrace) -> np.ndarray:
+    """Orbit minimum of each element under ``_ideal_maps``: min-labels with pointer jumping."""
+    every = B.elements()
+    images = [image(every) for image in _ideal_maps(B, two_sided=True)]
+    label, prev = every, None
+    while not np.array_equal(label, prev):
+        prev = label
+        for img in images:
+            label = np.minimum(label, label[img])
+        label = label[label]
+    return label
+
+
 def list_ideals(B: FiniteBrace, budget: int = 1_000_000) -> list[IdealRecord]:
-    """All ideals, as closures of singletons completed under pairwise joins."""
+    """All ideals: one closure per ideal-map orbit (closures are constant on orbits), then joins."""
     zero_rec = ideal_closure(B, [], mode="two_sided", budget=budget)
     found: dict[bytes, IdealRecord] = {zero_rec.key(): zero_rec}
-    for x in range(B.order):
+    for x in np.flatnonzero(_orbit_labels(B) == B.elements()).tolist():
         if x == B.zero():
             continue
         rec = ideal_closure(B, [x], mode="two_sided", budget=budget)
@@ -1062,6 +1077,8 @@ def is_prime_brace(
     for r in records:
         if not is_ideal(B, r.members):
             raise IncompleteLatticeError(f"lattice entry of size {r.size} is not an ideal")
+    if B.order == 1:
+        return PrimeResult(False, None)  # a prime brace is nonzero, as is a simple one
     rng = np.random.default_rng(seed)
     nonzero = np.delete(B.elements(), B.zero())
     for x in nonzero[rng.integers(0, B.order - 1, size=spot_checks)]:

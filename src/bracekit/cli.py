@@ -115,11 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", "--budget", "--seed", "--json",
     )
     p.add_argument("--samples", type=int, default=200, help="random closure seeds per side")
-    p.add_argument(
-        "--full",
-        action="store_true",
-        help="enumerate the full ideal lattice exhaustively (long-running)",
-    )
 
     return parser
 
@@ -253,9 +248,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_prime_example(args) -> int:
-    out = verify_prime_example(
-        samples=args.samples, seed=args.seed, budget=args.budget, full=args.full
-    )
+    out = verify_prime_example(samples=args.samples, seed=args.seed, budget=args.budget)
     _emit(_render(out, args.json), args.out)
     return 0 if all(v for v in out["checks"].values() if isinstance(v, bool)) else 1
 
@@ -279,6 +272,9 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     if getattr(args, "budget", 1) < 1:
         print("error: budgets must be positive", file=sys.stderr)
+        return 2
+    if getattr(args, "samples", 1) < 1:
+        print("error: --samples must be at least 1", file=sys.stderr)
         return 2
     try:
         return _HANDLERS[args.command](args)

@@ -473,7 +473,8 @@ def build_prime_example() -> SemidirectProductBrace:
     with the block action and preserves the pairing (the pairing sums over
     all slots and the action applies the same map to each), so it is a brace
     automorphism, and it is not inner since 5 does not divide the simple
-    brace's order. The resulting ideal lattice is exactly {0, A x {0}, B}.
+    brace's order. The resulting ideal lattice is exactly {0, A x {0}, B};
+    ``verify_prime_example`` checks that by computing the lattice.
     """
     A = build_family(_shift_spec())
     outer = TrivialBrace([5])
@@ -492,18 +493,17 @@ def build_prime_example() -> SemidirectProductBrace:
     return SemidirectProductBrace(A, outer, act)
 
 
-def verify_prime_example(
-    samples: int = 200, seed: int = 0, budget: int = 1_000_000, full: bool = False
-) -> dict:
+def verify_prime_example(samples: int = 200, seed: int = 0, budget: int = 1_000_000) -> dict:
     """Build the order-92160 example and check that it is prime but not simple.
 
     The inner copy A of the simple factor must be an ideal with A * A = A;
-    ``samples`` seeded closures from inside A must give A and as many from
-    outside must give everything. The primeness check then runs over the
-    lattice {0, A, B}, or over the full lattice enumerated exhaustively when
-    ``full`` is set (long-running). Returns the order, the simple and prime
-    verdicts, and every check by name.
+    ``samples`` (at least 1) seeded closures from inside A must give A and as
+    many from outside must give everything. The ideal lattice is computed by
+    ``list_ideals``; the simple verdict and the primeness check run over it.
+    Returns the order, the simple and prime verdicts, and every check by name.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     B = build_prime_example()
     inner = np.arange(B.A.order, dtype=np.int64)
     checks = {}
@@ -522,7 +522,7 @@ def verify_prime_example(
         ideal_closure(B, [int(s)], budget=budget).size == B.order for s in outside
     )
 
-    lattice = list_ideals(B, budget=budget) if full else [[B.zero()], inner, B.elements()]
+    lattice = list_ideals(B, budget=budget)
     checks["lattice_size"] = len(lattice)
     prime = is_prime_brace(B, lattice, seed=seed, budget=budget)
     checks["prime"] = prime.prime

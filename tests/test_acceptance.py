@@ -1,4 +1,5 @@
-"""Acceptance gate: the nine headline criteria, one test and one line each.
+"""Acceptance gate: the nine headline criteria, plus the simplicity of AC9's
+brace, one test and one line each.
 
 Every test asserts its exact expected values and its stated wall-clock limit,
 then prints a single PASS line (visible with -s or -rA).  Nothing here is
@@ -19,6 +20,7 @@ from bracekit.braces import (
     is_left_ideal,
     is_prime_brace,
     is_simple,
+    list_ideals,
     star_span,
     tabulate,
 )
@@ -43,6 +45,7 @@ from bracekit.groupinfo import (
     _additive_multiple,
     _pairwise_commuting,
     group_report,
+    is_A_group,
     sylow_left_ideals,
 )
 from bracekit.modular import unit_order
@@ -270,3 +273,16 @@ def test_ac9_smallest_family_constructibility():
         assert report.trials == 100_000
     assert clock.elapsed < 300.0
     _report("AC9", clock, "exponents (m, r) = ((1, 1), (1, 1)) solve dims (6, 2) at targets (7, 3); the order-750141 brace builds and passes 10^5 sampled axiom triples (seed 0)")
+
+
+def test_ac9_brace_is_simple_a_group():
+    # one closure per orbit of the ideal maps: every ideal is a join of these
+    with _Clock() as clock:
+        block1 = witness_block(find_orthogonal_element(3, 7, 6))
+        block2 = witness_block(find_orthogonal_element(7, 3, 2))
+        B = build_family(parse_spec({"blocks": [block1, block2]}))
+        assert B.order == 750141
+        assert [r.size for r in list_ideals(B)] == [1, 750141]
+        assert is_A_group(B)
+    assert clock.elapsed < 120.0
+    _report("AC9 simple", clock, "the order-750141 brace has ideal lattice {0, B} (exhaustive through orbits) and abelian Sylow subgroups")

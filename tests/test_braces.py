@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bracekit.braces
 from bracekit.braces import (
     AsymmetricProductBrace,
     BraceElement,
@@ -25,12 +26,15 @@ from bracekit.braces import (
     is_ideal,
     is_left_ideal,
     is_prime_brace,
+    PrimeResult,
     is_simple,
     list_ideals,
     multiplicative_closure,
     star_span,
     tabulate,
     _MixedRadix,
+    _ideal_maps,
+    _orbit_labels,
 )
 from bracekit.construct import build_family, load_spec
 from bracekit.errors import (
@@ -57,12 +61,20 @@ def sd6():
     return SemidirectProductBrace(A, B, [[0, 1, 2], [0, 2, 1]])
 
 
+SPECS = Path(__file__).resolve().parent.parent / "demos/specs"
+
+
 @pytest.fixture(scope="module")
 def cf72():
     # the shipped spec; its storage layout interleaves t and s coordinates
-    B = build_family(load_spec(Path(__file__).resolve().parent.parent / "demos/specs/cf72.json"))
+    B = build_family(load_spec(SPECS / "cf72.json"))
     assert B._layout.tolist() == [0, 1, 3, 2, 4]
     return B
+
+
+@pytest.fixture(scope="module")
+def ns216():
+    return build_family(load_spec(SPECS / "ns216.json"))
 
 
 def test_trivial_brace_mul_is_add():
@@ -444,6 +456,105 @@ def test_list_ideals_trivial_braces():
     assert [r.size for r in list_ideals(TrivialBrace([2, 2]))] == [1, 2, 2, 2, 4]
 
 
+def _list_ideals_per_element(B, budget=1_000_000):
+    """Reference: the closure of every nonzero element, completed under pairwise joins."""
+    zero_rec = ideal_closure(B, [], mode="two_sided", budget=budget)
+    found = {zero_rec.key(): zero_rec}
+    for x in range(B.order):
+        if x == B.zero():
+            continue
+        rec = ideal_closure(B, [x], mode="two_sided", budget=budget)
+        found.setdefault(rec.key(), rec)
+    changed = True
+    while changed:
+        changed = False
+        records = list(found.values())
+        for i in range(len(records)):
+            for j in range(i + 1, len(records)):
+                a, b = records[i], records[j]
+                if a.contains(b.members) or b.contains(a.members):
+                    continue
+                joined = ideal_closure(
+                    B, list(a.seeds) + list(b.seeds), mode="two_sided", budget=budget
+                )
+                if joined.key() not in found:
+                    found[joined.key()] = joined
+                    changed = True
+    return sorted(found.values(), key=lambda r: (r.size, r.key()))
+
+
+def _orbit_minima_by_search(B):
+    """Reference: each element's orbit under the ideal maps, walked one element at a time."""
+    images = [image(B.elements()).tolist() for image in _ideal_maps(B, two_sided=True)]
+    minima = np.full(B.order, -1, dtype=np.int64)
+    for x in range(B.order):
+        if minima[x] >= 0:
+            continue
+        orbit, frontier = {x}, [x]
+        while frontier:
+            y = frontier.pop()
+            for img in images:
+                if img[y] not in orbit:
+                    orbit.add(img[y])
+                    frontier.append(img[y])
+        minima[sorted(orbit)] = x
+    return minima
+
+
+def _relabelled(B, seed=0):
+    """B as a TableBrace under a seeded relabelling that moves zero off index 0."""
+    perm = np.random.default_rng(seed).permutation(B.order)
+    inv = np.argsort(perm)
+    add, mul = tabulate(B)
+    T = TableBrace(perm[add][np.ix_(inv, inv)], perm[mul][np.ix_(inv, inv)])
+    assert T.zero() == perm[B.zero()] != 0
+    return T
+
+
+_LATTICE_CASES = {
+    "asym9": lambda request: request.getfixturevalue("asym9"),
+    "sd6": lambda request: request.getfixturevalue("sd6"),
+    "trivial_1": lambda request: TrivialBrace([1]),
+    "trivial_4": lambda request: TrivialBrace([4]),
+    "trivial_2_2": lambda request: TrivialBrace([2, 2]),
+    "trivial_2_2_3": lambda request: TrivialBrace([2, 2, 3]),
+    "cf72": lambda request: request.getfixturevalue("cf72"),
+    "mf72": lambda request: build_family(load_spec(SPECS / "mf72.json")),
+    "ns216": lambda request: request.getfixturevalue("ns216"),
+    "ns216_relabelled": lambda request: _relabelled(request.getfixturevalue("ns216")),
+}
+
+
+@pytest.mark.parametrize("case", list(_LATTICE_CASES))
+def test_list_ideals_matches_per_element_reference(case, request):
+    B = _LATTICE_CASES[case](request)
+    got, want = list_ideals(B), _list_ideals_per_element(B)
+    assert [(r.size, r.seeds, r.two_sided, r.members.tolist()) for r in got] == [
+        (r.size, r.seeds, r.two_sided, r.members.tolist()) for r in want
+    ]
+    assert all(np.array_equal(g.mask, w.mask) for g, w in zip(got, want))
+    labels = _orbit_labels(B)
+    for image in _ideal_maps(B, two_sided=True):
+        assert np.array_equal(labels[image(B.elements())], labels)
+    assert np.array_equal(labels, _orbit_minima_by_search(B))
+
+
+@pytest.mark.parametrize("spec, seeds", [("cf72", [[1]]), ("ns216", [[1], [24], [48]])])
+def test_list_ideals_runs_one_closure_per_nonzero_orbit(spec, seeds, request, monkeypatch):
+    B = request.getfixturevalue(spec)
+    calls = []
+
+    def counted(B, seed_list, *args, **kwargs):
+        calls.append([int(s) for s in seed_list])
+        return ideal_closure(B, seed_list, *args, **kwargs)
+
+    monkeypatch.setattr(bracekit.braces, "ideal_closure", counted)
+    list_ideals(B)
+    minima = np.unique(_orbit_labels(B))
+    assert [m for [m] in seeds] == minima[minima != B.zero()].tolist()
+    assert calls == [[]] + seeds
+
+
 def test_is_simple_small_cases(asym9, sd6):
     assert is_simple(TrivialBrace([5])).simple
     res = is_simple(TrivialBrace([4]))
@@ -504,6 +615,19 @@ def test_trivial_brace_is_simple_but_not_prime():
     res = is_prime_brace(B, list_ideals(B))
     assert not res.prime
     assert res.witness_pair == (5, 5)
+
+
+def test_prime_check_order_one():
+    # a prime brace is nonzero, as is a simple one: no spot check is drawn
+    B = TrivialBrace([1])
+    assert is_prime_brace(B, list_ideals(B)) == PrimeResult(False, None)
+    assert not is_simple(B).simple
+
+
+def test_sampled_axioms_need_a_trial(asym9):
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        check_axioms(asym9, mode="sampled", trials=0)
+    assert check_axioms(asym9, mode="exhaustive", trials=0).ok
 
 
 def test_prime_check_guards_lattice(asym9):

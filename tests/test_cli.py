@@ -86,10 +86,27 @@ def test_bad_flags_exit_two(capsys):
         ["export", "--spec", CF72, "--budget", "5"],
         ["export", "--spec", CF72, "--json"],
         ["witness", "--p", "2", "--p1", "3", "--json"],
+        ["prime-example", "--full"],
     ],
 )
 def test_flags_no_handler_reads_exit_two(argv, capsys):
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "--spec", NS216, "--samples", "0"],
+        ["prime-example", "--samples", "0"],
+        ["prime-example", "--samples", "-1", "--json"],
+    ],
+)
+def test_samples_below_one_exit_two(argv, capsysbinary):
+    # rejected before any work: a sampled verdict over no samples says nothing
+    assert run(argv) == 2
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert b"--samples must be at least 1" in captured.err
 
 
 def test_analyze(capsys):
@@ -175,3 +192,4 @@ def test_prime_example_small_sample(capsys):
     assert out["prime"] is True
     assert out["checks"]["inner_is_ideal"] is True
     assert out["checks"]["inner_star_reproduces"] is True
+    assert out["checks"]["lattice_size"] == 3

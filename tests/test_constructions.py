@@ -26,6 +26,7 @@ from bracekit.construct import (
     parse_spec,
     solve_exponents,
     validate_spec,
+    verify_prime_example,
 )
 from bracekit.errors import (
     BelowBoundError,
@@ -366,6 +367,11 @@ def test_prime_example_build():
     assert B.order == 92160
     assert B.A.order == 18432
     assert B.B.order == 5
+
+
+def test_verify_prime_example_needs_a_sample():
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_prime_example(samples=0)
 
 
 def test_prime_example_inner_ideal():

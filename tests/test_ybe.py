@@ -137,6 +137,12 @@ def test_sampled_braid_mode():
     assert report.braid_checked == 5_000
 
 
+def test_sampled_braid_mode_needs_a_trial():
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        check_solution(_flip(210), trials=0)
+    assert check_solution(_flip(72), trials=0).braid_mode == "exhaustive"
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         SolutionTable(sigma=np.zeros((2, 3), dtype=int), gamma=np.zeros((2, 3), dtype=int))
