@@ -20,7 +20,19 @@ Ideal computations work with generator sets throughout: a subset closed under
 lambda_g and conjugation by a set of multiplicative generators g is closed
 under the maps of every element (the maps compose multiplicatively in the
 subscript and are bijections of any finite invariant subset), so the
-fixpoints computed here agree with exhaustive definitions.
+fixpoints computed here agree with exhaustive definitions. The first ideal
+query on a brace tabulates those maps over the whole carrier, one int32
+array per generator and kind of map, and caches the tables on the brace
+(``_ideal_tables``, beside ``_mult_gens``); from then on closures, ideal
+tests and orbit labels are gathers. Nothing else builds them, so braces that
+are only built, checked or used through the kernels never pay for them.
+
+Star products use the identity (a.b)*c = a*lambda_b(c) + b*c: when the left
+factor is the multiplicative subgroup generated by S and the additive span
+J of the right factor is invariant under lambda_s for every s in S, the
+span of all products equals the span of s*g over s in S and additive
+generators g of J. ``star_span`` checks both conditions and otherwise
+multiplies every element of the left factor.
 """
 
 from __future__ import annotations
@@ -69,6 +81,9 @@ class FiniteBrace:
         self.order = int(order)
         self._axiom_report: Optional["AxiomReport"] = None
         self._mult_gens: Optional[np.ndarray] = None
+        # "lam" and "conj": (k, order) int32 images under the k multiplicative
+        # generators, filled by the first ideal query that needs them
+        self._ideal_tables: dict[str, np.ndarray] = {}
 
     # subclasses implement these four on 1-d int64 arrays; the binary ones
     # take operands of equal length or of length 1, never mutate them, and
@@ -397,7 +412,11 @@ class AsymmetricProductBrace(FiniteBrace):
             t1, t2 = t2, t1
         if t1.shape[0] == 1:
             return t2 @ (t1[0] @ self._pairing).T % self._sm
-        return np.einsum("kij,ni,nj->nk", self._pairing, t1, t2) % self._sm
+        # one (n, dT) product and a row-wise dot per component keep memory at O(n dT)
+        out = np.empty((t1.shape[0], self._sm.size), dtype=np.int64)
+        for k, form in enumerate(self._pairing):
+            out[:, k] = np.einsum("ni,ni->n", t1 @ form, t2)
+        return out % self._sm
 
     def _alpha_matrix(self, key: int) -> np.ndarray:
         m = self._alpha_cache.get(key)
@@ -517,7 +536,16 @@ class SemidirectProductBrace(FiniteBrace):
     def _mul(self, x, y):
         a1, b1 = self._split(x)
         a2, b2 = self._split(y)
-        return self._join(self.A.mul(a1, self.act[b1, a2]), self.B.mul(b1, b2))
+        if a2.size == 1 < a1.size:
+            # act[b1, a2] takes at most |B| values here: hand each to A.mul as
+            # one right operand, not as a copy per row
+            a = np.empty_like(a1)
+            for b in np.unique(b1).tolist():
+                sel = b1 == b
+                a[sel] = self.A.mul(a1[sel], self.act[b, a2])
+        else:
+            a = self.A.mul(a1, self.act[b1, a2])
+        return self._join(a, self.B.mul(b1, b2))
 
     def _inv(self, x):
         a, b = self._split(x)
@@ -806,7 +834,9 @@ class IdealRecord:
         )
 
     def contains(self, x) -> bool:
-        return bool(np.all(self.mask[np.asarray(x, dtype=np.int64)]))
+        """Whether every index in ``x`` is a member; indices outside the carrier are not."""
+        x = np.asarray(x, dtype=np.int64)
+        return bool(np.all((x >= 0) & (x < self.mask.size)) and np.all(self.mask[x]))
 
     def key(self) -> bytes:
         return self.members.tobytes()
@@ -850,34 +880,46 @@ def ideal_closure(
             raise ValueError(f"seed {s} outside carrier")
         span.insert(s)
 
-    maps = _ideal_maps(B, two_sided)
+    tables = _ideal_maps(B, two_sided)
     ptr = 0
     while ptr < span.size and span.size < B.order:
         if span.size > budget:
             raise BudgetExceededError(f"closure exceeded budget {budget}")
         batch = span.members[ptr:]
         ptr = span.size
-        for image in maps:
-            span.insert_many(image(batch))
+        for table in tables:
+            span.insert_many(table[batch])
             if span.size == B.order:
                 break
     return _record_from_span(span, seed_list, two_sided)
 
 
-def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list:
-    """The maps an additive subgroup must be invariant under to be a (left) ideal.
+def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list[np.ndarray]:
+    """Tables of the maps an additive subgroup must be invariant under to be a (left) ideal.
 
     For each multiplicative generator g: lambda_g and, when ``two_sided``,
-    x -> g x g^-1 right after it. The generators are inverted in one call.
+    x -> g x g^-1 right after it, each as an int32 array over the whole
+    carrier (the image of x is ``table[x]``). The first query that needs a
+    kind of table builds it through the kernels and caches it on the brace;
+    lambda_g(x) = g x - g and g x g^-1 share the product g x, and the
+    generators are inverted in one call.
     """
-    gens = B.multiplicative_generators()
+    tables = B._ideal_tables
+    missing = [kind for kind in ("lam", "conj")[: 1 + two_sided] if kind not in tables]
+    if missing:
+        gens = B.multiplicative_generators().tolist()
+        for kind in missing:
+            tables[kind] = np.empty((len(gens), B.order), dtype=np.int32)
+        inverses = B.inv(gens).tolist() if "conj" in missing else [None] * len(gens)
+        for i, (g, gi) in enumerate(zip(gens, inverses)):
+            left = B.mul(g, B.elements())
+            if "lam" in missing:
+                tables["lam"][i] = B.sub(left, g)
+            if "conj" in missing:
+                tables["conj"][i] = B.mul(left, gi)
     if not two_sided:
-        return [lambda xs, g=g: B.lam(g, xs) for g in gens.tolist()]
-    maps = []
-    for g, gi in zip(gens.tolist(), B.inv(gens).tolist()):
-        maps.append(lambda xs, g=g: B.lam(g, xs))
-        maps.append(lambda xs, g=g, gi=gi: B.mul(B.mul(g, xs), gi))
-    return maps
+        return list(tables["lam"])
+    return [table for pair in zip(tables["lam"], tables["conj"]) for table in pair]
 
 
 def _as_members(obj) -> np.ndarray:
@@ -885,10 +927,15 @@ def _as_members(obj) -> np.ndarray:
     return np.unique(np.asarray(members, dtype=np.int64))
 
 
+def _outside_carrier(B: FiniteBrace, members: np.ndarray) -> bool:
+    """Whether sorted ``members`` reach outside 0..order-1."""
+    return members.size > 0 and (members[0] < 0 or members[-1] >= B.order)
+
+
 def _is_closed(B: FiniteBrace, members, two_sided: bool) -> bool:
     """Whether ``members`` is an additive subgroup invariant under ``_ideal_maps``."""
     members = _as_members(members)
-    if members.size == 0 or members[0] < 0 or members[-1] >= B.order:
+    if members.size == 0 or _outside_carrier(B, members):
         return False
     mask = np.zeros(B.order, dtype=bool)
     mask[members] = True
@@ -899,7 +946,7 @@ def _is_closed(B: FiniteBrace, members, two_sided: bool) -> bool:
         span.insert(int(x))
         if span.size > members.size:
             return False
-    return all(np.all(mask[image(members)]) for image in _ideal_maps(B, two_sided))
+    return all(np.all(mask[table[members]]) for table in _ideal_maps(B, two_sided))
 
 
 def is_left_ideal(B: FiniteBrace, members) -> bool:
@@ -942,13 +989,12 @@ def is_simple(B: FiniteBrace, budget: int = 1_000_000) -> SimplicityResult:
 
 def _orbit_labels(B: FiniteBrace) -> np.ndarray:
     """Orbit minimum of each element under ``_ideal_maps``: min-labels with pointer jumping."""
-    every = B.elements()
-    images = [image(every) for image in _ideal_maps(B, two_sided=True)]
-    label, prev = every, None
+    tables = _ideal_maps(B, two_sided=True)
+    label, prev = B.elements(), None
     while not np.array_equal(label, prev):
         prev = label
-        for img in images:
-            label = np.minimum(label, label[img])
+        for table in tables:
+            label = np.minimum(label, label[table])
         label = label[label]
     return label
 
@@ -982,17 +1028,23 @@ def list_ideals(B: FiniteBrace, budget: int = 1_000_000) -> list[IdealRecord]:
 
 
 def additive_generators(B: FiniteBrace, within=None) -> np.ndarray:
-    """Greedy additive generating set of the carrier (or of a subgroup's members)."""
+    """Greedy additive generating set of the carrier (or of the span of ``within``)."""
     pool = B.elements() if within is None else _as_members(within)
+    return _greedy_span(B, pool)[0]
+
+
+def _greedy_span(B: FiniteBrace, pool: np.ndarray) -> tuple[np.ndarray, _AdditiveSpan]:
+    """Greedy additive generators of the span of ``pool``, and that span."""
     span = _AdditiveSpan(B)
     gens: list[int] = []
     for x in pool:
         if not span.mask[x]:
             gens.append(int(x))
             span.insert(int(x))
-            if span.size == pool.size:
+            # the size test is a cheap pre-check: only a span that covers the pool ends the walk
+            if span.size >= pool.size and span.mask[pool].all():
                 break
-    return np.array(gens if gens else [B.zero()], dtype=np.int64)
+    return np.array(gens if gens else [B.zero()], dtype=np.int64), span
 
 
 def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
@@ -1004,20 +1056,26 @@ def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
     gen_arr = np.unique(np.asarray(list(gens), dtype=np.int64))
     mask = np.zeros(B.order, dtype=bool)
     mask[B.zero()] = True
-    if gen_arr.size == 0:
-        return np.array([B.zero()], dtype=np.int64)
-    frontier = np.array([B.zero()], dtype=np.int64)
-    while frontier.size:
-        prods = np.unique(B.mul(frontier[:, None], gen_arr[None, :]).ravel())
-        frontier = prods[~mask[prods]]
-        mask[frontier] = True
+    if gen_arr.size:
+        _grow(B, mask, np.array([B.zero()], dtype=np.int64), gen_arr)
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _greedy_generators(B: FiniteBrace, pool: np.ndarray) -> list[int]:
+def _grow(B: FiniteBrace, mask: np.ndarray, frontier: np.ndarray, gens: np.ndarray) -> None:
+    """Mark in ``mask`` every product of the marked ``frontier`` with a word in ``gens``."""
+    while frontier.size:
+        prods = np.unique(B.mul(frontier[:, None], gens[None, :]).ravel())
+        frontier = prods[~mask[prods]]
+        mask[frontier] = True
+
+
+def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optional[list[int]]:
     """Greedy generating set of the multiplicative subgroup spanned by ``pool``.
 
-    Each entry of ``pool`` outside the closure of the earlier picks is picked.
+    Each entry of ``pool`` outside the closure H of the earlier picks is
+    picked. The closure grows from H: <H, x> is H times the words in the
+    picks, and the only new elements that H itself reaches are those of Hx.
+    Given a boolean mask ``inside``, returns None as soon as a closure leaves it.
     """
     gens: list[int] = []
     covered = np.zeros(B.order, dtype=bool)
@@ -1025,23 +1083,55 @@ def _greedy_generators(B: FiniteBrace, pool: np.ndarray) -> list[int]:
     for x in pool.tolist():
         if not covered[x]:
             gens.append(int(x))
-            covered[multiplicative_closure(B, gens)] = True
+            fresh = np.unique(B.mul(np.flatnonzero(covered), x))
+            fresh = fresh[~covered[fresh]]
+            covered[fresh] = True
+            _grow(B, covered, fresh, np.array(gens, dtype=np.int64))
+            if inside is not None and not inside[covered].all():
+                return None
     return gens
+
+
+def _subgroup_generators(B: FiniteBrace, members: np.ndarray) -> Optional[np.ndarray]:
+    """Multiplicative generators of sorted ``members`` if they form a nontrivial subgroup, else None."""
+    if members.size == B.order:
+        return B.multiplicative_generators()
+    inside = np.zeros(B.order, dtype=bool)
+    inside[members] = True
+    found = _greedy_generators(B, members, inside) if inside[B.zero()] else None
+    return np.array(found, dtype=np.int64) if found else None
 
 
 def star_span(B: FiniteBrace, left, right) -> np.ndarray:
     """Additive span of all products a*b with a in ``left``, b in ``right``.
 
-    Since a*(b + c) = a*b + a*c, the products against an additive generating
-    set of ``right`` already span the full set; that reduction is what makes
-    this affordable on large carriers (and is cross-checked against the
-    brute-force span in the test suite).
+    Since a*(b + c) = a*b + a*c, the products against a set G of additive
+    generators of span(``right``) already span the full set. When ``left`` is
+    a multiplicative subgroup <S> and span(``right``) is invariant under
+    lambda_s for every s in S, the identity (a.b)*c = a*lambda_b(c) + b*c
+    reduces the left factor to S too, and the result is span{s*g}. Both
+    conditions are checked here: S is found greedily (the cached generators
+    when ``left`` is the whole carrier), giving up as soon as a closure
+    leaves ``left``, and every lambda_s(g) must lie in span(``right``).
+    Otherwise every a in ``left`` is multiplied against G. Both paths are
+    cross-checked against the brute-force span in the test suite. Members
+    outside the carrier raise ValueError.
     """
     left = _as_members(left)
     right = _as_members(right)
+    for name, factor in (("left", left), ("right", right)):
+        if _outside_carrier(B, factor):
+            raise ValueError(f"{name} factor has members outside the carrier of order {B.order}")
+    gens, right_span = _greedy_span(B, right)
     span = _AdditiveSpan(B)
-    for g in additive_generators(B, within=right):
-        span.insert_many(np.atleast_1d(B.star(left, int(g))))
+    left_gens = _subgroup_generators(B, left)
+    if left_gens is not None:
+        lams = B.lam(left_gens[:, None], gens[None, :])
+        if right_span.mask[lams].all():
+            span.insert_many(B.sub(lams, gens[None, :]).ravel())
+            return np.sort(span.members)
+    for g in gens.tolist():
+        span.insert_many(np.atleast_1d(B.star(left, g)))
     return np.sort(span.members)
 
 
@@ -1069,7 +1159,14 @@ def is_prime_brace(
     IncompleteLatticeError, since a missing ideal would make the primeness
     verdict unsound.
     """
-    records = [IdealRecord.from_members(B, entry) for entry in lattice]
+    records = []
+    for entry in lattice:
+        members = _as_members(entry)
+        if _outside_carrier(B, members):
+            raise IncompleteLatticeError(
+                f"lattice entry has members outside the carrier of order {B.order}"
+            )
+        records.append(IdealRecord.from_members(B, members))
     sizes = {r.size for r in records}
     if 1 not in sizes or B.order not in sizes:
         raise IncompleteLatticeError("lattice must contain the zero ideal and the full brace")

@@ -32,9 +32,11 @@ from bracekit.braces import (
     multiplicative_closure,
     star_span,
     tabulate,
+    _AdditiveSpan,
     _MixedRadix,
     _ideal_maps,
     _orbit_labels,
+    _subgroup_generators,
 )
 from bracekit.construct import build_family, load_spec
 from bracekit.errors import (
@@ -485,7 +487,7 @@ def _list_ideals_per_element(B, budget=1_000_000):
 
 def _orbit_minima_by_search(B):
     """Reference: each element's orbit under the ideal maps, walked one element at a time."""
-    images = [image(B.elements()).tolist() for image in _ideal_maps(B, two_sided=True)]
+    images = [table.tolist() for table in _ideal_maps(B, two_sided=True)]
     minima = np.full(B.order, -1, dtype=np.int64)
     for x in range(B.order):
         if minima[x] >= 0:
@@ -534,8 +536,8 @@ def test_list_ideals_matches_per_element_reference(case, request):
     ]
     assert all(np.array_equal(g.mask, w.mask) for g, w in zip(got, want))
     labels = _orbit_labels(B)
-    for image in _ideal_maps(B, two_sided=True):
-        assert np.array_equal(labels[image(B.elements())], labels)
+    for table in _ideal_maps(B, two_sided=True):
+        assert np.array_equal(labels[table], labels)
     assert np.array_equal(labels, _orbit_minima_by_search(B))
 
 
@@ -590,6 +592,183 @@ def test_star_span_frozen_values(asym9):
     assert star_span(asym9, every, every).tolist() == [0, 3, 6]
     sub = star_span(asym9, [0, 3, 6], [0, 3, 6])
     assert sub.tolist() == [0]
+
+
+def _closure_through_kernels(B, seeds, two_sided):
+    """Reference: the ideal closure with every map image computed by the kernels."""
+    span = _AdditiveSpan(B)
+    for x in seeds:
+        span.insert(x)
+    maps = [lambda xs, g=g: B.lam(g, xs) for g in B.multiplicative_generators().tolist()]
+    if two_sided:
+        maps += [
+            lambda xs, g=g: B.mul(B.mul(g, xs), B.inv(g))
+            for g in B.multiplicative_generators().tolist()
+        ]
+    ptr = 0
+    while ptr < span.size:
+        batch = span.members[ptr:]
+        ptr = span.size
+        for image in maps:
+            span.insert_many(image(batch))
+    return np.sort(span.members)
+
+
+_TABLE_CASES = {
+    "asym9": lambda request: AsymmetricProductBrace([3], [3], [[[1]]], [[[1]]]),
+    "sd6": lambda request: SemidirectProductBrace(
+        TrivialBrace([3]), TrivialBrace([2]), [[0, 1, 2], [0, 2, 1]]
+    ),
+    "cf72": lambda request: build_family(load_spec(SPECS / "cf72.json")),
+    "ns216": lambda request: build_family(load_spec(SPECS / "ns216.json")),
+    "ns216_relabelled": lambda request: _relabelled(request.getfixturevalue("ns216")),
+}
+
+
+@pytest.mark.parametrize("first", ["left", "two_sided"])
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_ideal_tables_match_kernels(case, first, request):
+    B = _TABLE_CASES[case](request)  # a fresh brace: no table is built yet
+    assert B._ideal_tables == {}
+    every = B.elements()
+    gens = B.multiplicative_generators().tolist()
+    lam = [B.lam(g, every) for g in gens]
+    conj = [B.mul(B.mul(g, every), B.inv(g)) for g in gens]
+    if first == "left":
+        tables = _ideal_maps(B, two_sided=False)
+        assert list(B._ideal_tables) == ["lam"]  # lambda queries build no conjugation
+        assert len(tables) == len(gens)
+        assert all(t.dtype == np.int32 and np.array_equal(t, want) for t, want in zip(tables, lam))
+    tables = _ideal_maps(B, two_sided=True)
+    assert sorted(B._ideal_tables) == ["conj", "lam"]
+    assert len(tables) == 2 * len(gens)
+    for got, want in zip(tables, [t for pair in zip(lam, conj) for t in pair]):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+    assert all(np.array_equal(t, want) for t, want in zip(_ideal_maps(B, False), lam))
+
+
+@pytest.mark.parametrize("spec", ["cf72", "ns216"])
+def test_ideal_closure_matches_kernel_reference(spec, request):
+    B = request.getfixturevalue(spec)
+    for x in range(B.order):
+        for mode in ("two_sided", "left"):
+            got = ideal_closure(B, [x], mode=mode).members
+            assert np.array_equal(got, _closure_through_kernels(B, [x], mode == "two_sided"))
+
+
+def test_ideal_tables_only_built_by_ideal_queries(sd6):
+    # construction, axiom checks, generators and the kernels leave the cache empty
+    fresh = [
+        build_family(load_spec(SPECS / "cf72.json")),
+        SemidirectProductBrace(TrivialBrace([3]), TrivialBrace([2]), [[0, 1, 2], [0, 2, 1]]),
+        TableBrace(*tabulate(sd6)),
+        TrivialBrace([2, 3]),
+    ]
+    for B in fresh:
+        assert B._ideal_tables == {}
+        check_axioms(B)
+        check_axioms(B, mode="sampled", trials=100)
+        every = B.elements()
+        for op in ("add", "mul", "lam", "star", "sub"):
+            getattr(B, op)(every[:, None], every[None, :])
+        B.neg(every), B.inv(every), B.multiplicative_generators()
+        additive_generators(B)
+        assert B._ideal_tables == {}
+        assert is_left_ideal(B, every) and list(B._ideal_tables) == ["lam"]
+        assert is_ideal(B, every) and sorted(B._ideal_tables) == ["conj", "lam"]
+
+
+def _brute_star_span(B, left, right):
+    """Reference: the additive span of every product a*b, a in left, b in right."""
+    left, right = np.asarray(left), np.asarray(right)
+    return ideal_closure_members_of_span(B, B.star(left[:, None], right[None, :]).ravel())
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_star_span_over_generators_matches_brute_force(case, request):
+    B = _TABLE_CASES[case](request)
+    lattice = list_ideals(B)
+    for left in lattice:
+        assert left.size == 1 or _subgroup_generators(B, left.members) is not None
+        for right in lattice:
+            got = star_span(B, left, right)
+            assert np.array_equal(got, _brute_star_span(B, left.members, right.members))
+
+
+def _lambda_invariant(B, members):
+    span = ideal_closure_members_of_span(B, members)
+    gens = B.multiplicative_generators()
+    return bool(np.isin(B.lam(gens[:, None], span[None, :]), span).all())
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_star_span_general_path_matches_brute_force(case, request):
+    B = _TABLE_CASES[case](request)
+    rng = np.random.default_rng(3)
+    every = B.elements()
+    cases = []
+    # left not a subgroup: random subsets and a multiplicative coset of a proper subgroup
+    for _ in range(4):
+        left = rng.choice(B.order, size=rng.integers(2, B.order), replace=False)
+        assert _subgroup_generators(B, np.unique(left)) is None
+        cases.append((left, every))
+        cases.append((left, rng.choice(B.order, size=3, replace=False)))
+    sub = multiplicative_closure(B, B.multiplicative_generators()[:1])
+    if sub.size < B.order:
+        outside = int(np.flatnonzero(~np.isin(every, sub))[0])
+        coset = np.unique(B.mul(outside, sub))
+        assert _subgroup_generators(B, coset) is None
+        cases.append((coset, every))
+    # right whose span is not lambda-invariant, against subgroups on the left
+    cyclic = ([B.zero(), x] for x in range(B.order))
+    right = next((r for r in cyclic if not _lambda_invariant(B, r)), None)
+    # in sd6 every lambda map preserves every cyclic subgroup
+    assert (right is None) == (case == "sd6")
+    if right is not None:
+        cases += [(every, right), (sub, right)]
+    for left, right in cases:
+        assert np.array_equal(star_span(B, left, right), _brute_star_span(B, left, right))
+
+
+def test_star_span_spans_a_right_factor_that_is_not_a_subgroup(cf72):
+    # the span of {0, 8, 9} is everything, not only the span of 8
+    every = cf72.elements()
+    assert additive_generators(cf72, within=[0, 8, 9]).tolist() == [8, 9]
+    assert star_span(cf72, every, [0, 8, 9]).size == 72
+    assert np.array_equal(
+        star_span(cf72, every, [0, 8, 9]), _brute_star_span(cf72, every, [0, 8, 9])
+    )
+    assert additive_generators(TrivialBrace([6]), within=[0, 2, 3]).tolist() == [2, 3]
+
+
+def test_star_span_rejects_members_outside_the_carrier():
+    B = TrivialBrace([6])
+    with pytest.raises(ValueError, match="left factor"):
+        star_span(B, [0, 9], [1])
+    with pytest.raises(ValueError, match="left factor"):
+        star_span(B, [-1, 0], [1])
+    with pytest.raises(ValueError, match="right factor"):
+        star_span(B, [0, 1], [6])
+    assert star_span(B, [0, 5], [1]).tolist() == [0]
+
+
+def test_ideal_record_contains_only_carrier_indices():
+    B = TrivialBrace([6])
+    rec = ideal_closure(B, [3])
+    assert rec.members.tolist() == [0, 3]
+    assert rec.contains(3) and rec.contains([0, 3])
+    assert not rec.contains(-3)  # would wrap around to index 3
+    assert not rec.contains(6)
+    assert not rec.contains([0, 6])
+    assert not rec.contains([3, -3])
+
+
+def test_prime_check_rejects_lattice_entries_outside_the_carrier():
+    B = TrivialBrace([6])
+    with pytest.raises(IncompleteLatticeError, match="outside the carrier"):
+        is_prime_brace(B, [[0], [0, 3], range(7)])
+    with pytest.raises(IncompleteLatticeError, match="outside the carrier"):
+        is_prime_brace(B, [[0], [-3, 0], range(6)])
 
 
 def test_additive_generators(asym9):

@@ -384,3 +384,13 @@ def test_prime_example_inner_ideal():
     assert not is_ideal(B, outer)
     # the inner simple factor reproduces itself under the star product
     assert np.array_equal(star_span(B, inner, inner), inner)
+
+
+def test_prime_example_star_products():
+    # A*A = A*B = B*A = B*B = A for the inner factor A of the whole brace B
+    B = build_prime_example()
+    inner = np.arange(B.A.order, dtype=np.int64)
+    full = B.elements()
+    for left in (inner, full):
+        for right in (inner, full):
+            assert np.array_equal(star_span(B, left, right), inner)
