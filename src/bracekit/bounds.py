@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .braces import _CHUNK
 from .errors import (
     BudgetExceededError,
-    CapExceededError,
     ConditionViolationError,
     KindPrimeMismatchError,
-    NotInvertibleError,
     NoWitnessError,
 )
 from .modular import (
@@ -33,7 +32,6 @@ from .modular import (
     _hyperbolic_double,
     _require_prime,
     hyperbolic_witness,
-    matrix_order,
     minus_id_bijective,
     nullspace_mod,
     unit_order,
@@ -286,6 +284,33 @@ def _invariant_symmetric_form(
     return None
 
 
+def _order_p1_candidates(p: int, p1: int, dim: int):
+    """Every dim x dim matrix over Z/(p) of prime order p1, in lexicographic order.
+
+    p1 is prime, so f has order p1 exactly when f^p1 = I and f != I, and f is
+    then invertible. Candidate i is the base-p digit string of i, most
+    significant digit first (the order of itertools.product); candidates are
+    decoded in chunks of at most _CHUNK entries, and f^p1 is computed for a
+    whole chunk at once with batched matmul.
+    """
+    size = dim * dim
+    total = p**size
+    places = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
+    ident = np.eye(dim, dtype=np.int64)
+    step = max(1, _CHUNK // size)
+    for lo in range(0, total, step):
+        index = np.arange(lo, min(lo + step, total), dtype=np.int64)
+        f = (index[:, None] // places % p).reshape(-1, dim, dim)
+        power = f
+        for bit in bin(p1)[3:]:  # left-to-right square-and-multiply after the leading 1
+            power = power @ power % p
+            if bit == "1":
+                power = power @ f % p
+        keep = (power == ident).all(axis=(1, 2)) & ~(f == ident).all(axis=(1, 2))
+        for entries in f[keep]:
+            yield ResidueMatrix(entries, p)
+
+
 def find_orthogonal_element(
     p: int, p1: int, dim: int, search_budget: int = SEARCH_BUDGET
 ) -> OrthogonalMap:
@@ -296,7 +321,10 @@ def find_orthogonal_element(
     blockdiag(C, (C^-1)^T) when dim = 2k with k odd, and the generic double of
     the full quotient polynomial when dim = 2(p1 - 1).  Anything else falls to
     exhaustive lexicographic search over all p^(dim^2) matrices, bounded by
-    search_budget; exhaustion proves NoWitness.
+    search_budget; exhaustion proves NoWitness.  That search keeps the
+    matrices of order p1, found a chunk at a time by batched matrix powers
+    (``_order_p1_candidates``), then tests f - id and looks for an invariant
+    non-singular form one survivor at a time, in lexicographic order.
     """
     p, p1 = _distinct_primes(p, p1)
     dim = int(dim)
@@ -324,13 +352,7 @@ def find_orthogonal_element(
         raise BudgetExceededError(
             f"{p}^{dim * dim} candidate matrices exceed the budget of {search_budget}"
         )
-    for entries in itertools.product(range(p), repeat=dim * dim):
-        f = ResidueMatrix(np.array(entries, dtype=np.int64).reshape(dim, dim), p)
-        try:
-            if matrix_order(f, cap=p1) != p1:
-                continue
-        except (NotInvertibleError, CapExceededError):
-            continue
+    for f in _order_p1_candidates(p, p1, dim):
         if not minus_id_bijective(f):
             continue
         form = _invariant_symmetric_form(f, search_budget)

@@ -691,6 +691,12 @@ def check_axioms(
     triples; identity and inverse laws stay exhaustive since they are linear
     scans), or "auto", which picks exhaustive for orders up to
     ``EXHAUSTIVE_CAP``. The report is cached on the brace instance.
+
+    The identity and inverse scans run through the kernels. Commutativity and
+    the triple laws gather from the (add, mul) tables of ``tabulate`` when a
+    table is no larger than the check, n^2 <= the number of triples (n^3 in
+    exhaustive mode, ``trials`` when sampled), and otherwise run through the
+    kernels; both give the same report. The tables are not kept.
     """
     n = B.order
     if mode == "auto":
@@ -736,20 +742,27 @@ def check_axioms(
         if bad.size:
             failures.append((name, (int(bad[0]),)))
 
+    if n * n <= (n**3 if mode == "exhaustive" else trials):
+        add_t, mul_t = tabulate(B)
+
+        def add(x, y):
+            return add_t[x, y]
+
+        def mul(x, y):
+            return mul_t[x, y]
+
+    else:
+        add, mul = B.add, B.mul
     # commutativity is a law on pairs: it runs over all of them before any triple law
-    commutes = {"additive_commutativity": lambda a, b, c: B.add(a, b) == B.add(b, a)}
+    commutes = {"additive_commutativity": lambda a, b, c: add(a, b) == add(b, a)}
     verdicts, failure, _ = _check_triples(n, commutes, mode, trials, seed)
     checks.update(verdicts)
     if failure is not None:
         failures.append((failure[0], failure[1][:2]))
     triple_laws = {
-        "additive_associativity": lambda a, b, c: B.add(B.add(a, b), c) == B.add(a, B.add(b, c)),
-        "multiplicative_associativity": lambda a, b, c: (
-            B.mul(B.mul(a, b), c) == B.mul(a, B.mul(b, c))
-        ),
-        "compatibility": lambda a, b, c: (
-            B.add(B.mul(a, B.add(b, c)), a) == B.add(B.mul(a, b), B.mul(a, c))
-        ),
+        "additive_associativity": lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)),
+        "multiplicative_associativity": lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)),
+        "compatibility": lambda a, b, c: add(mul(a, add(b, c)), a) == add(mul(a, b), mul(a, c)),
     }
     verdicts, failure, covered = _check_triples(n, triple_laws, mode, trials, seed)
     checks.update(verdicts)

@@ -4,8 +4,10 @@ The divisibility predicate is dual-routed: every grid cell is compared with
 literal divisibility of the exact group order integer.
 """
 
+import itertools
 import time
 
+import numpy as np
 import pytest
 
 from bracekit.bounds import (
@@ -19,15 +21,18 @@ from bracekit.bounds import (
     orthogonal_group_order,
     witness_block,
 )
-from bracekit.bounds import _lex_first_factor, _poly_divmod
+from bracekit.bounds import _lex_first_factor, _order_p1_candidates, _poly_divmod
 from bracekit.construct import build_family, parse_spec
 from bracekit.errors import (
     BudgetExceededError,
+    CapExceededError,
     ConditionViolationError,
     KindPrimeMismatchError,
+    NotInvertibleError,
     NoWitnessError,
 )
 from bracekit.modular import (
+    ResidueMatrix,
     companion_cyclotomic,
     hyperbolic_witness,
     is_orthogonal,
@@ -243,6 +248,31 @@ def test_no_witness_below_minimal():
         for dim in dims:
             with pytest.raises(NoWitnessError):
                 find_orthogonal_element(p, p1, dim)
+
+
+def _order_p1_by_brute_force(p, p1, dim):
+    """Reference: every matrix with matrix_order(f, cap=p1) == p1, in itertools.product order."""
+    found = []
+    for entries in itertools.product(range(p), repeat=dim * dim):
+        f = ResidueMatrix(np.array(entries).reshape(dim, dim), p)
+        try:
+            if matrix_order(f, cap=p1) == p1:
+                found.append(f)
+        except (NotInvertibleError, CapExceededError):
+            pass
+    return found
+
+
+# (2, 3, 4) enumerates 2^16 = 65,536 candidates, more than one chunk of the filter
+@pytest.mark.parametrize("p, p1, dim", [(2, 3, 2), (3, 2, 2), (5, 3, 2), (2, 3, 3), (2, 3, 4)])
+def test_order_p1_filter_matches_brute_force(p, p1, dim):
+    got = list(_order_p1_candidates(p, p1, dim))
+    assert got and got == _order_p1_by_brute_force(p, p1, dim)
+
+
+def test_exhaustive_search_proves_no_witness():
+    with pytest.raises(NoWitnessError, match="exhaustive search"):
+        find_orthogonal_element(3, 7, 3)
 
 
 def test_witness_budget_guard():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bracekit.braces
 from bracekit.braces import (
     AsymmetricProductBrace,
+    AxiomReport,
     BraceElement,
     SemidirectProductBrace,
     TableBrace,
@@ -34,6 +35,7 @@ from bracekit.braces import (
     tabulate,
     _AdditiveSpan,
     _MixedRadix,
+    _check_triples,
     _ideal_maps,
     _orbit_labels,
     _subgroup_generators,
@@ -398,6 +400,90 @@ def test_pinned_reports_corrupted_multiplication():
     assert (report.ok, report.mode, report.order, report.trials) == (False, "sampled", 106, 20_000)
     assert report.checks == checks
     assert report.counterexample == ("multiplicative_associativity", (100, 3, 27))
+
+
+def _axioms_through_kernels(B, mode, trials=100_000, seed=0):
+    """Reference: check_axioms on a brace with an identity, every law through the kernels."""
+    n, z, every = B.order, B.zero(), B.elements()
+    zeros = np.full(n, z, dtype=np.int64)
+    checks, failures = {}, []
+    for name, got, want in (
+        ("additive_identity", B.add(z, every), every),
+        ("additive_inverses", B.add(every, B.neg(every)), zeros),
+        ("multiplicative_identity", B.mul(z, every), every),
+        ("multiplicative_identity", B.mul(every, z), every),
+        ("multiplicative_inverses", B.mul(every, B.inv(every)), zeros),
+    ):
+        bad = np.flatnonzero(got != want)
+        checks[name] = checks.get(name, True) and bad.size == 0
+        if bad.size:
+            failures.append((name, (int(bad[0]),)))
+    pair_laws = {"additive_commutativity": lambda a, b, c: B.add(a, b) == B.add(b, a)}
+    triple_laws = {
+        "additive_associativity": lambda a, b, c: B.add(B.add(a, b), c) == B.add(a, B.add(b, c)),
+        "multiplicative_associativity": lambda a, b, c: (
+            B.mul(B.mul(a, b), c) == B.mul(a, B.mul(b, c))
+        ),
+        "compatibility": lambda a, b, c: (
+            B.add(B.mul(a, B.add(b, c)), a) == B.add(B.mul(a, b), B.mul(a, c))
+        ),
+    }
+    for laws, width in ((pair_laws, 2), (triple_laws, 3)):
+        verdicts, failure, covered = _check_triples(n, laws, mode, trials, seed)
+        checks.update(verdicts)
+        if failure is not None:
+            failures.append((failure[0], failure[1][:width]))
+    return AxiomReport(
+        ok=all(checks.values()),
+        mode=mode,
+        order=n,
+        checks=checks,
+        counterexample=failures[0] if failures else None,
+        trials=0 if mode == "exhaustive" else covered,
+    )
+
+
+def _ns216_corrupted_mul(request):
+    add_t, mul_t = tabulate(request.getfixturevalue("ns216"))
+    broken = mul_t.copy()
+    broken[100, 3] = broken[100, 4]
+    return TableBrace(add_t, broken)
+
+
+_AXIOM_CASES = {
+    "asym9": lambda request: request.getfixturevalue("asym9"),
+    "sd6": lambda request: request.getfixturevalue("sd6"),
+    "trivial_2_2_3": lambda request: TrivialBrace([2, 2, 3]),
+    "cf72": lambda request: request.getfixturevalue("cf72"),
+    "ns216": lambda request: request.getfixturevalue("ns216"),
+    "ns216_corrupted_mul": _ns216_corrupted_mul,
+}
+
+
+@pytest.mark.parametrize("case", list(_AXIOM_CASES))
+def test_axiom_reports_match_kernel_reference(case, request):
+    B = _AXIOM_CASES[case](request)
+    runs = [("exhaustive", 100_000, 0), ("sampled", 100_000, 1), ("sampled", 100_000, 7)]
+    for mode, trials, seed in runs:
+        want = _axioms_through_kernels(B, mode, trials, seed)
+        assert check_axioms(B, mode=mode, trials=trials, seed=seed) == want
+    if case == "ns216_corrupted_mul":
+        assert not want.ok and want.counterexample is not None
+
+
+def test_axiom_tables_built_only_when_no_larger_than_the_triples(cf72, monkeypatch):
+    built = []
+    real = bracekit.braces.tabulate
+    monkeypatch.setattr(bracekit.braces, "tabulate", lambda B: built.append(B.order) or real(B))
+    assert check_axioms(cf72, mode="sampled", trials=100).ok  # 100 < 72^2
+    assert built == []
+    assert check_axioms(cf72, mode="sampled", trials=10_000).ok
+    assert built == [72]
+    with pytest.raises(ValueError):
+        check_axioms(cf72, mode="sampled", trials=0)
+    assert built == [72]
+    assert check_axioms(cf72, mode="exhaustive").ok
+    assert built == [72, 72]
 
 
 def test_sampled_mode_reports_trials(asym9):
