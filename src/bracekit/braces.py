@@ -233,15 +233,20 @@ class _MixedRadix:
     def decode(self, idx: np.ndarray) -> np.ndarray:
         """(n, d) coordinates of the 1-d ``idx``.
 
-        Digits come off from the lightest weight up, one divmod by a scalar
-        per coordinate, which is several times faster than dividing an
-        (n, d) grid by the weights. The result is the transpose of a (d, n)
-        array.
+        Digits come off from the lightest weight up: one floor division by a
+        scalar per coordinate, with the digit rest - q * m written into its
+        output row. That is several times faster than dividing an (n, d) grid
+        by the weights, or than ``np.divmod`` by the same scalar. The result
+        is the transpose of a (d, n) array.
         """
         out = np.empty((self.moduli.size, idx.size), dtype=np.int64)
         rest = idx
         for j, m in self._digits:
-            rest, out[j] = np.divmod(rest, m)
+            q = rest // m
+            row = out[j]
+            np.multiply(q, m, row)
+            np.subtract(rest, row, row)
+            rest = q
         return out.T
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
@@ -311,6 +316,13 @@ class AsymmetricProductBrace(FiniteBrace):
     ``layout`` permutes the logical coordinates [t..., s...] into encoding
     positions so composite constructions can interleave storage; it never
     changes the algebra.
+
+    Each alpha_s is an automorphism of T, so all of them fit in one table of
+    |S| * |T| = order rows of dT coordinates, in the smallest unsigned dtype
+    that holds max(t_moduli) - 1 (uint8 for every shipped spec: 6 MB at
+    order 750141). The kernels apply alpha as one gather from it, whatever
+    the operand shapes. The first multiplication or inversion builds the
+    table; construction builds none.
     """
 
     def __init__(
@@ -349,9 +361,13 @@ class AsymmetricProductBrace(FiniteBrace):
         self._logical = self.codec.reordered(self._inv_layout)
         self._dt = dt
         self.family_blocks = tuple(family_blocks) if family_blocks else None
-        # s @ _s_weights is the integer key of an s-vector; alpha is cached per key
+        # alpha_s(t) is row (s @ _s_weights) * |T| + t @ _t_weights of _alpha_table,
+        # which the first _alpha call fills; s @ _s_weights is the integer key of
+        # s, and _t_weights are the C-order strides of np.indices(t_moduli)
         self._s_weights = _MixedRadix(self._sm).weights
-        self._alpha_cache: dict[int, np.ndarray] = {}
+        self._t_weights = _MixedRadix(self._tm[::-1]).weights[::-1]
+        self._t_size = int(np.prod(self._tm))
+        self._alpha_table: Optional[np.ndarray] = None
         self._gen_powers = [self._power_table(self._gens[l], int(self._sm[l])) for l in range(ds)]
         self._validate()
         super().__init__(self.codec.size)
@@ -418,31 +434,32 @@ class AsymmetricProductBrace(FiniteBrace):
             out[:, k] = np.einsum("ni,ni->n", t1 @ form, t2)
         return out % self._sm
 
-    def _alpha_matrix(self, key: int) -> np.ndarray:
-        m = self._alpha_cache.get(key)
-        if m is None:
-            m = np.eye(self._dt, dtype=np.int64)
-            for l, w in enumerate(self._s_weights.tolist()):
-                m = self._reduce(self._gen_powers[l][key // w % int(self._sm[l])] @ m)
-            self._alpha_cache[key] = m
-        return m
-
     def _alpha(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Rows alpha_{s_i}(t_i); ``s`` and ``t`` have equal lengths or length 1."""
-        keys = s @ self._s_weights
-        if keys.size == 1:
-            return t @ self._alpha_matrix(int(keys[0])).T % self._tm
-        uniq, which = np.unique(keys, return_inverse=True)
-        if t.shape[0] == 1:
-            images = np.empty((uniq.size, self._dt), dtype=np.int64)
-            for u, key in enumerate(uniq.tolist()):
-                images[u] = t[0] @ self._alpha_matrix(key).T % self._tm
-            return images[which]
-        out = np.empty_like(t)
-        for u, key in enumerate(uniq.tolist()):
-            sel = which == u
-            out[sel] = t[sel] @ self._alpha_matrix(key).T % self._tm
-        return out
+        if self._alpha_table is None:
+            self._alpha_table = self._tabulate_alpha()
+        return self._alpha_table[(s @ self._s_weights) * self._t_size + t @ self._t_weights]
+
+    def _tabulate_alpha(self) -> np.ndarray:
+        """(order, dT) images alpha_s(t), s-key major, t in C order, as small ints.
+
+        Keys go in blocks of about _CHUNK table entries: each block decodes its
+        keys to s-digits, multiplies their generator powers as one batch of
+        matrices, and applies them to every t at once.
+        """
+        dt, size, keys_total = self._dt, self._t_size, self.order // self._t_size
+        ts = np.indices(self._tm.tolist()).reshape(dt, size).T
+        powers = [np.stack(p) for p in self._gen_powers]
+        table = np.empty((self.order, dt), dtype=np.min_scalar_type(int(self._tm.max()) - 1))
+        step = max(1, _CHUNK // (size * dt))
+        for lo in range(0, keys_total, step):
+            keys = np.arange(lo, min(lo + step, keys_total), dtype=np.int64)
+            m = np.eye(dt, dtype=np.int64)
+            for l, w in enumerate(self._s_weights.tolist()):
+                m = self._reduce(powers[l][keys // w % int(self._sm[l])] @ m)
+            images = ts @ m.transpose(0, 2, 1) % self._tm
+            table[lo * size : (lo + keys.size) * size] = images.reshape(-1, dt)
+        return table
 
     def _add(self, x, y):
         t1, s1 = self._split(x)

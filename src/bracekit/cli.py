@@ -10,6 +10,7 @@ sorted keys and reports carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -58,7 +59,9 @@ _VERIFICATION_ERRORS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="bracekit",
         description="Finite brace construction, verification, and export.",

@@ -5,6 +5,7 @@ defining formulas (componentwise addition with a pairing correction, action
 twist on multiplication) before the implementation existed.
 """
 
+import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracekit.braces
+from bracekit.bounds import find_orthogonal_element, witness_block
 from bracekit.braces import (
     AsymmetricProductBrace,
     AxiomReport,
@@ -40,7 +42,7 @@ from bracekit.braces import (
     _orbit_labels,
     _subgroup_generators,
 )
-from bracekit.construct import build_family, load_spec
+from bracekit.construct import build_family, build_prime_example, load_spec, parse_spec
 from bracekit.errors import (
     ActionNotAutomorphismError,
     BudgetExceededError,
@@ -264,6 +266,147 @@ def test_kernels_go_through_the_codec(cf72, monkeypatch):
         calls.clear()
         getattr(cf72, op)(*args)
         assert (calls["decode"], calls["encode"]) == want, op
+
+
+def _build_bulk750k():
+    # the order-750141 (3^7 * 7^3) brace of the smallest family
+    block1 = witness_block(find_orthogonal_element(3, 7, 6))
+    block2 = witness_block(find_orthogonal_element(7, 3, 2))
+    return build_family(parse_spec({"blocks": [block1, block2]}))
+
+
+@pytest.fixture(scope="module")
+def bulk750k():
+    return _build_bulk750k()
+
+
+@pytest.fixture(scope="module")
+def inner18432():
+    # the simple factor A of the order-92160 prime example
+    return build_prime_example().A
+
+
+def _alpha_reference(B, s, t):
+    # alpha_s(t) = t M(s)^T mod t_moduli, M(s) the product of generator powers
+    n = max(len(s), len(t))
+    s, t = np.broadcast_to(s, (n, s.shape[1])), np.broadcast_to(t, (n, t.shape[1]))
+    out = np.empty((n, t.shape[1]), dtype=np.int64)
+    for i in range(n):
+        m = np.eye(t.shape[1], dtype=np.int64)
+        for l, e in enumerate(s[i].tolist()):
+            m = B._gen_powers[l][e] @ m % B._tm[:, None]
+        out[i] = t[i] @ m.T % B._tm
+    return out
+
+
+_ALPHA_CASES = {
+    "asym9": lambda request: request.getfixturevalue("asym9"),
+    "cf72": lambda request: request.getfixturevalue("cf72"),
+    "ns216": lambda request: request.getfixturevalue("ns216"),
+    "s257": lambda request: AsymmetricProductBrace([2], [257], np.zeros((1, 1, 1)), [[[1]]]),
+    "s258": lambda request: AsymmetricProductBrace([3], [258], np.zeros((1, 1, 1)), [[[2]]]),
+    # alpha_1 = -1 on Z/257, so coordinates no longer fit in a byte
+    "t257": lambda request: AsymmetricProductBrace([257], [2], np.zeros((1, 1, 1)), [[[256]]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ALPHA_CASES))
+def test_alpha_table_matches_matrix_reference(case, request):
+    B = _ALPHA_CASES[case](request)
+    # every element is one (t, s) pair, so this covers every key and every t
+    t, s = B._split(B.elements())
+    got = B._alpha(s, t)
+    assert np.array_equal(got, _alpha_reference(B, s, t))
+    table = B._alpha_table
+    assert table.shape == (B.order, B._tm.size)
+    assert table.dtype == np.min_scalar_type(int(B._tm.max()) - 1)
+    assert table.dtype == (np.uint16 if case == "t257" else np.uint8)
+    # a length-1 s against every t, and every s against a length-1 t
+    for i in np.linspace(0, B.order - 1, 5).astype(int).tolist():
+        one_s, one_t = s[i : i + 1], t[i : i + 1]
+        assert np.array_equal(B._alpha(one_s, t), _alpha_reference(B, one_s, t))
+        assert np.array_equal(B._alpha(s, one_t), _alpha_reference(B, s, one_t))
+        assert np.array_equal(B._alpha(one_s, one_t), _alpha_reference(B, one_s, one_t))
+
+
+def test_alpha_table_on_the_order_18432_factor(inner18432):
+    A = inner18432
+    rng = np.random.default_rng(5)
+    t, s = A._split(rng.integers(0, A.order, 5_000))
+    assert np.array_equal(A._alpha(s, t), _alpha_reference(A, s, t))
+    assert np.array_equal(A._alpha(s[:1], t), _alpha_reference(A, s[:1], t))
+    assert np.array_equal(A._alpha(s, t[:1]), _alpha_reference(A, s, t[:1]))
+    assert A._alpha_table.shape == (18432, 11) and A._alpha_table.dtype == np.uint8
+
+
+def test_construction_builds_no_alpha_table():
+    fresh = [
+        AsymmetricProductBrace([3], [3], [[[1]]], [[[1]]]),
+        build_family(load_spec(SPECS / "cf72.json")),
+        build_family(load_spec(SPECS / "ns216.json")),
+        _build_bulk750k(),
+    ]
+    for B in fresh:
+        assert B._alpha_table is None
+        B.mul(B.order - 1, B.order - 1)
+        assert B._alpha_table.shape == (B.order, B._tm.size)
+
+
+# SHA-256 of the little-endian int64 results on 100,000 seeded operands
+# (default_rng(0): x, then y, each integers(0, order, 100_000)), recorded
+# before the kernels applied alpha through a table
+_FROZEN_KERNEL_DIGESTS = {
+    "bulk750k": {
+        "add": "ba39d89d98d476b5a0c28c3ac7ea6ec245706d65881141b4518e375d3c1614d0",
+        "mul": "a2415cf2ea15202e43aef2d945b634f1fe5c5bfa8453b060ce0724a1c0ab7b22",
+        "lam": "502d8f4fbbcf5a4f138505fe96a376c586a8dc84a0a8bd552888095fa987c48b",
+        "inv": "c7c98b57e5e7babaad004d5ad08cb8c2cfcb4295d7cd3da82ebc7c4d689e0b7c",
+        "neg": "17a6e3ecc40d9c25d21c203f50972921dae050f2ecf58ec7f0b8ee2a9543e4aa",
+    },
+    "inner18432": {
+        "add": "c23fa188d158b2d0d5ce119522d46ad520aa669ba3e94ed12854c5803f265e10",
+        "mul": "fd8e083eb54d24ad7670f318da7c98a82e88412b4852009f594d43aa973f3282",
+        "lam": "5b9b7c66ab6244b540f1f994c2cd549e412c56b3ec88ab065ee148612e373be9",
+        "inv": "4da437ede0d59f84037806a61bd7732fb350fe3500dd411096a8791e1ce90cff",
+        "neg": "fab9c30fb07d9d4b2ecca9e238fc903ff77bafeca687486887a223f3e2483fa1",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FROZEN_KERNEL_DIGESTS))
+def test_large_kernels_frozen(case, request):
+    B = request.getfixturevalue(case)
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, B.order, 100_000)
+    y = rng.integers(0, B.order, 100_000)
+    got = {}
+    for op, args in (("add", (x, y)), ("mul", (x, y)), ("lam", (x, y)), ("inv", (x,)), ("neg", (x,))):
+        result = getattr(B, op)(*args)
+        assert result.dtype == np.int64
+        got[op] = hashlib.sha256(result.astype("<i8").tobytes()).hexdigest()
+    assert got == _FROZEN_KERNEL_DIGESTS[case]
+
+
+@pytest.mark.parametrize("moduli", [[3, 1, 257, 2, 1], [257, 1, 65536, 7, 1_000_003]])
+@pytest.mark.parametrize("order", [None, [2, 4, 0, 3, 1]])
+def test_decode_matches_digit_loop(moduli, order):
+    codec = _MixedRadix(moduli)
+    rng = np.random.default_rng(11)
+    idx = np.concatenate([[0, codec.size - 1], rng.integers(0, codec.size, 2_000)])
+    want = []
+    for rest in idx.tolist():
+        digits = []
+        for m in moduli:
+            rest, digit = divmod(rest, m)
+            digits.append(digit)
+        want.append(digits)
+    want = np.array(want, dtype=np.int64)
+    if order is not None:
+        codec, want = codec.reordered(order), want[:, order]
+    got = codec.decode(idx)
+    assert got.dtype == np.int64 and got.shape == (idx.size, len(moduli))
+    assert np.array_equal(got, want)
+    assert np.array_equal(codec.encode(got), idx)
 
 
 def test_layout_permutes_storage_only():

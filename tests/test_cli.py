@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bracekit.cli import run
+from bracekit.cli import _build_parser, run
 from bracekit.ybe import import_solution
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
@@ -132,6 +132,17 @@ def test_bounds_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["k"] == [2, 1]
     assert out["l"] == [6, 4]
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # an invalid flag between two identical calls leaves the shared parser as it was
+    assert _build_parser() is _build_parser()
+    assert run(["bounds", "--primes", "3,7", "--json"]) == 0
+    first = capsys.readouterr().out
+    assert run(["bounds", "--primes", "3,7", "--frobnicate"]) == 2
+    assert capsys.readouterr().out == ""
+    assert run(["bounds", "--primes", "3,7", "--json"]) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_bounds_duplicate_primes_exit_two(capsys):
