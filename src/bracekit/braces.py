@@ -24,8 +24,9 @@ fixpoints computed here agree with exhaustive definitions. The first ideal
 query on a brace tabulates those maps over the whole carrier, one int32
 array per generator and kind of map, and caches the tables on the brace
 (``_ideal_tables``, beside ``_mult_gens``); from then on closures, ideal
-tests and orbit labels are gathers. Nothing else builds them, so braces that
-are only built, checked or used through the kernels never pay for them.
+tests, orbit labels and the conjugates of ``groupinfo.derived_subgroup`` are
+gathers. Nothing else builds them, so braces that are only built, checked or
+used through the kernels never pay for them.
 
 Star products use the identity (a.b)*c = a*lambda_b(c) + b*c: when the left
 factor is the multiplicative subgroup generated by S and the additive span
@@ -567,7 +568,7 @@ class SemidirectProductBrace(FiniteBrace):
     def _inv(self, x):
         a, b = self._split(x)
         bi = self.B.inv(b)
-        return self._join(self.act[bi, self.A.inv(a)], self.B.inv(b))
+        return self._join(self.act[bi, self.A.inv(a)], bi)
 
     def multiplicative_generators(self) -> np.ndarray:
         if self._mult_gens is None:
@@ -804,7 +805,9 @@ class _AdditiveSpan:
     ``insert`` adds a whole cyclic tower of cosets at once: for a new element
     x it walks x, 2x, 3x, ... and unions the coset H + kx for each step that
     lands outside the current subgroup H, which keeps the number of insert
-    calls logarithmic in the subgroup size.
+    calls logarithmic in the subgroup size. ``insert_many`` is the one greedy
+    walk over a pool of values: additive generators, star products, ideal
+    closures and ideal tests all grow their spans through it.
     """
 
     def __init__(self, B: FiniteBrace):
@@ -820,27 +823,30 @@ class _AdditiveSpan:
             self._chunks = [np.concatenate(self._chunks)]
         return self._chunks[0]
 
-    def insert(self, x: int) -> bool:
-        x = int(x)
-        if self.mask[x]:
-            return False
+    def insert(self, x: int) -> None:
         base = self.members
-        rep = x
+        rep = x = int(x)
         while not self.mask[rep]:
             coset = self.B.add(base, rep)
             self.mask[coset] = True
             self._chunks.append(coset)
             self.size += coset.size
             rep = int(self.B.add(rep, x))
-        return True
 
-    def insert_many(self, values: np.ndarray) -> bool:
-        grew = False
-        fresh = np.unique(values[~self.mask[values]])
-        for v in fresh:
-            if self.insert(int(v)):
-                grew = True
-        return grew
+    def insert_many(self, values: np.ndarray) -> list[int]:
+        """Insert carrier indices ``values``; returns the ones picked, ascending.
+
+        Each round inserts the least value outside the span and drops the
+        values the span then holds: the picks of a walk over the sorted
+        distinct values, with one round per pick.
+        """
+        picks: list[int] = []
+        rest = values[~self.mask[values]]
+        while rest.size:
+            picks.append(int(rest.min()))
+            self.insert(picks[-1])
+            rest = rest[~self.mask[rest]]
+        return picks
 
 
 @dataclass(frozen=True, eq=False)
@@ -903,12 +909,12 @@ def ideal_closure(
     if mode not in ("left", "two_sided"):
         raise ValueError(f"unknown mode {mode!r}")
     two_sided = mode == "two_sided"
-    seed_list = [int(s) for s in np.atleast_1d(np.asarray(seeds, dtype=np.int64)).ravel()]
+    seed_arr = np.atleast_1d(np.asarray(seeds, dtype=np.int64)).ravel()
+    outside = seed_arr[(seed_arr < 0) | (seed_arr >= B.order)]
+    if outside.size:
+        raise ValueError(f"seed {int(outside[0])} outside carrier")
     span = _AdditiveSpan(B)
-    for s in seed_list:
-        if not 0 <= s < B.order:
-            raise ValueError(f"seed {s} outside carrier")
-        span.insert(s)
+    span.insert_many(seed_arr)
 
     tables = _ideal_maps(B, two_sided)
     ptr = 0
@@ -921,7 +927,7 @@ def ideal_closure(
             span.insert_many(table[batch])
             if span.size == B.order:
                 break
-    return _record_from_span(span, seed_list, two_sided)
+    return _record_from_span(span, seed_arr, two_sided)
 
 
 def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list[np.ndarray]:
@@ -965,18 +971,14 @@ def _outside_carrier(B: FiniteBrace, members: np.ndarray) -> bool:
 def _is_closed(B: FiniteBrace, members, two_sided: bool) -> bool:
     """Whether ``members`` is an additive subgroup invariant under ``_ideal_maps``."""
     members = _as_members(members)
-    if members.size == 0 or _outside_carrier(B, members):
-        return False
-    mask = np.zeros(B.order, dtype=bool)
-    mask[members] = True
-    if not mask[B.zero()]:
+    if _outside_carrier(B, members):
         return False
     span = _AdditiveSpan(B)
-    for x in members:
-        span.insert(int(x))
-        if span.size > members.size:
-            return False
-    return all(np.all(mask[table[members]]) for table in _ideal_maps(B, two_sided))
+    span.insert_many(members)
+    # the span holds zero and every member: they form a subgroup exactly when it is no larger
+    if span.size != members.size:
+        return False
+    return all(np.all(span.mask[table[members]]) for table in _ideal_maps(B, two_sided))
 
 
 def is_left_ideal(B: FiniteBrace, members) -> bool:
@@ -1058,23 +1060,14 @@ def list_ideals(B: FiniteBrace, budget: int = 1_000_000) -> list[IdealRecord]:
 
 
 def additive_generators(B: FiniteBrace, within=None) -> np.ndarray:
-    """Greedy additive generating set of the carrier (or of the span of ``within``)."""
+    """Greedy additive generating set of the carrier (or of the span of ``within``).
+
+    Members of ``within`` outside the carrier raise ValueError.
+    """
     pool = B.elements() if within is None else _as_members(within)
-    return _greedy_span(B, pool)[0]
-
-
-def _greedy_span(B: FiniteBrace, pool: np.ndarray) -> tuple[np.ndarray, _AdditiveSpan]:
-    """Greedy additive generators of the span of ``pool``, and that span."""
-    span = _AdditiveSpan(B)
-    gens: list[int] = []
-    for x in pool:
-        if not span.mask[x]:
-            gens.append(int(x))
-            span.insert(int(x))
-            # the size test is a cheap pre-check: only a span that covers the pool ends the walk
-            if span.size >= pool.size and span.mask[pool].all():
-                break
-    return np.array(gens if gens else [B.zero()], dtype=np.int64), span
+    if _outside_carrier(B, pool):
+        raise ValueError(f"within has members outside the carrier of order {B.order}")
+    return np.array(_AdditiveSpan(B).insert_many(pool) or [B.zero()], dtype=np.int64)
 
 
 def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
@@ -1152,7 +1145,8 @@ def star_span(B: FiniteBrace, left, right) -> np.ndarray:
     for name, factor in (("left", left), ("right", right)):
         if _outside_carrier(B, factor):
             raise ValueError(f"{name} factor has members outside the carrier of order {B.order}")
-    gens, right_span = _greedy_span(B, right)
+    right_span = _AdditiveSpan(B)
+    gens = np.array(right_span.insert_many(right) or [B.zero()], dtype=np.int64)
     span = _AdditiveSpan(B)
     left_gens = _subgroup_generators(B, left)
     if left_gens is not None:

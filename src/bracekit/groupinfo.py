@@ -4,6 +4,11 @@ The additive Sylow subgroups double as multiplicative Sylow subgroups here:
 each is a left ideal, hence closed under a*b = a + lam_a(b), and its size
 already equals the full p-part of the carrier.  That turns A-group detection
 into per-block commutativity checks instead of general Sylow computation.
+
+The derived subgroup is generated by the conjugates of the commutators of
+the multiplicative generators. Conjugation is a gather from the tables of
+``braces._ideal_maps``, the same tables ideal closures use, so no kernel is
+called to conjugate.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .braces import (
     FiniteBrace,
     IdealRecord,
     _greedy_generators,
+    _ideal_maps,
     is_left_ideal,
     multiplicative_closure,
 )
@@ -34,38 +40,32 @@ __all__ = [
 ]
 
 
-def _commutator(B: FiniteBrace, g: int, h: int) -> int:
-    return int(B.mul(B.mul(B.inv(g), B.inv(h)), B.mul(g, h)))
-
-
 def derived_subgroup(B: FiniteBrace, budget: int = 1_000_000) -> np.ndarray:
     """Sorted members of the derived subgroup of (B, mul).
 
-    Starts from commutators of the multiplicative generators and closes under
-    both the group operation and conjugation by generators; the conjugation
-    pass is what makes the result the full normal closure.
+    The derived subgroup is generated by the conjugates of the commutators
+    of the multiplicative generators. Those conjugates are the orbit of the
+    commutators under the conjugation tables of ``_ideal_maps``, and the
+    subgroup is closed from greedy generators of that orbit.
     """
     if B.order > budget:
         raise BudgetExceededError(
             f"carrier of size {B.order} exceeds the budget of {budget}"
         )
-    gens = B.multiplicative_generators().tolist()
-    seeds = {_commutator(B, g, h) for g in gens for h in gens}
-    seeds.discard(B.zero())
-    members = multiplicative_closure(B, seeds)
-    while True:
-        mask = np.zeros(B.order, dtype=bool)
-        mask[members] = True
-        fresh: list[int] = []
-        for g in gens:
-            conj = B.mul(B.inv(g), B.mul(members, g))
-            new = conj[~mask[conj]]
-            if new.size:
-                fresh.extend(int(x) for x in np.unique(new))
-        if not fresh:
-            return members
-        seeds.update(fresh)
-        members = multiplicative_closure(B, seeds)
+    gens = B.multiplicative_generators()
+    inverses = B.inv(gens)
+    commutators = B.mul(
+        B.mul(inverses[:, None], inverses[None, :]), B.mul(gens[:, None], gens[None, :])
+    )
+    conj = _ideal_maps(B, two_sided=True)[1::2]
+    orbit = np.zeros(B.order, dtype=bool)
+    frontier = np.unique(commutators)
+    orbit[frontier] = True
+    while frontier.size:
+        images = np.unique(np.concatenate([table[frontier] for table in conj]))
+        frontier = images[~orbit[images]]
+        orbit[frontier] = True
+    return multiplicative_closure(B, _greedy_generators(B, np.flatnonzero(orbit)))
 
 
 def _pairwise_commuting(B: FiniteBrace, xs) -> bool:

@@ -131,13 +131,12 @@ def check_solution(
 
     nondegenerate = _rows_are_permutations(sigma) and _rows_are_permutations(gamma.T)
 
-    X, Y = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    s, g = sigma[X, Y], gamma[X, Y]
-    involutive = bool(
-        np.array_equal(sigma[s, g], X) and np.array_equal(gamma[s, g], Y)
-    )
+    every = np.arange(n)
+    x_back = sigma[sigma, gamma] == every[:, None]
+    y_back = gamma[sigma, gamma] == every[None, :]
+    involutive = bool(x_back.all() and y_back.all())
     if not involutive:
-        bad = np.argwhere((sigma[s, g] != X) | (gamma[s, g] != Y))[0]
+        bad = np.argwhere(~(x_back & y_back))[0]
         counterexample = (int(bad[0]), int(bad[1]))
 
     def r12(x, y, z):

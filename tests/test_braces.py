@@ -83,6 +83,12 @@ def ns216():
     return build_family(load_spec(SPECS / "ns216.json"))
 
 
+@pytest.fixture(scope="module")
+def factor_a():
+    # the order-18432 simple factor of the order-92160 prime example
+    return build_prime_example().A
+
+
 def test_trivial_brace_mul_is_add():
     B = TrivialBrace([2, 3])
     assert B.order == 6
@@ -998,6 +1004,93 @@ def test_prime_check_rejects_lattice_entries_outside_the_carrier():
         is_prime_brace(B, [[0], [0, 3], range(7)])
     with pytest.raises(IncompleteLatticeError, match="outside the carrier"):
         is_prime_brace(B, [[0], [-3, 0], range(6)])
+
+
+def test_additive_generators_rejects_members_outside_the_carrier(cf72):
+    for within in ([-3], [0, 1, 80], [72]):
+        with pytest.raises(ValueError, match="within has members outside"):
+            additive_generators(cf72, within=within)
+    assert additive_generators(cf72, within=[0, 71]).tolist() == [71]
+
+
+@pytest.mark.parametrize(
+    "case, gens",
+    [
+        ("cf72", [1, 2, 3, 8, 16]),
+        ("ns216", [1, 2, 3, 8, 16, 24]),
+        ("factor_a", [1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512, 2048, 4096]),
+    ],
+)
+def test_additive_generators_pinned(case, gens, request):
+    assert additive_generators(request.getfixturevalue(case)).tolist() == gens
+
+
+def _insert_many_per_value(span, values):
+    """Reference: one insert per sorted distinct value not yet in the span; returns those inserted."""
+    picks = []
+    for v in np.unique(values[~span.mask[values]]):
+        if not span.mask[v]:
+            picks.append(int(v))
+            span.insert(int(v))
+    return picks
+
+
+@pytest.mark.parametrize("case", ["asym9", "cf72", "ns216", "factor_a"])
+def test_insert_many_matches_the_per_value_walk(case, request):
+    B = request.getfixturevalue(case)
+    lam = _ideal_maps(B, two_sided=False)[-1]
+    rng = np.random.default_rng(7)
+    size = min(B.order, 5000)
+    for _ in range(4):
+        got, want = _AdditiveSpan(B), _AdditiveSpan(B)
+        # unsorted pools with duplicates, growing from a few values, and their int32 lambda images
+        for n in (1, 2, size):
+            pool = rng.integers(0, B.order, size=n)
+            pool = rng.permutation(np.concatenate([pool, pool[: n // 3 + 1]]))
+            for values in (pool, lam[pool]):
+                assert got.insert_many(values) == _insert_many_per_value(want, values)
+                assert got.size == want.size and np.array_equal(got.mask, want.mask)
+                assert np.array_equal(np.sort(got.members), np.sort(want.members))
+
+
+def _is_ideal_by_definition(B, members, two_sided):
+    """Reference: zero, closure under addition and invariance under the maps of every element."""
+    m = np.unique(np.asarray(members, dtype=np.int64))
+    every = B.elements()
+    if B.zero() not in m or not np.isin(B.add(m[:, None], m[None, :]), m).all():
+        return False
+    if not np.isin(B.lam(every[:, None], m[None, :]), m).all():
+        return False
+    conj = B.mul(B.mul(every[:, None], m[None, :]), B.inv(every)[:, None])
+    return not two_sided or bool(np.isin(conj, m).all())
+
+
+@pytest.mark.parametrize("case", ["asym9", "sd6", "cf72", "ns216"])
+def test_ideal_tests_match_the_definition(case, request):
+    B = request.getfixturevalue(case)
+    rng = np.random.default_rng(5)
+    every = B.elements()
+    sets = [r.members for r in list_ideals(B)]
+    sets += [ideal_closure(B, [x], mode="left").members for x in every]
+    sets += [ideal_closure_members_of_span(B, [x]) for x in every]
+    sets += [np.union1d(rng.choice(B.order, size=4, replace=False), B.zero()) for _ in range(6)]
+    sets += [m[m != B.zero()] for m in sets]
+    distinct = {m.tobytes(): m for m in sets}
+    kinds = set()
+    for members in distinct.values():
+        left = _is_ideal_by_definition(B, members, two_sided=False)
+        two_sided = _is_ideal_by_definition(B, members, two_sided=True)
+        subgroup = ideal_closure_members_of_span(B, members).size == members.size
+        kinds.add((B.zero() in members, subgroup, left, two_sided))
+        repeated = rng.permutation(np.concatenate([members, members[: members.size // 2 + 1]]))
+        for given in (members, repeated, repeated.tolist()):
+            assert is_left_ideal(B, given) == left
+            assert is_ideal(B, given) == two_sided
+    # sets without zero, non-subgroups with zero, subgroups that are not left ideals, and ideals
+    assert {(False, False, False, False), (True, False, False, False)} <= kinds
+    assert (True, True, True, True) in kinds
+    # in sd6 every lambda map preserves every cyclic subgroup
+    assert ((True, True, False, False) in kinds) == (case != "sd6")
 
 
 def test_additive_generators(asym9):

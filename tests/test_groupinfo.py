@@ -1,15 +1,17 @@
 """Multiplicative group analysis: derived subgroup, Sylow blocks, predicates.
 
-The derived-subgroup routine works from generator commutators plus a normal
-closure pass; the oracle here generates from ALL commutators (that set is
+The derived-subgroup routine works from generator commutators and their
+conjugation orbit; the oracle here generates from ALL commutators (that set is
 conjugation-closed, so no closure pass is needed) and must agree.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bracekit.braces import SemidirectProductBrace, TrivialBrace
-from bracekit.construct import build_family, parse_spec
+from bracekit.construct import build_family, load_spec, parse_spec
 from bracekit.errors import BudgetExceededError
 from bracekit.groupinfo import (
     GroupReport,
@@ -22,6 +24,8 @@ from bracekit.groupinfo import (
     sylow_left_ideals,
 )
 from bracekit.groupinfo import _additive_multiple
+
+SPECS = Path(__file__).resolve().parent.parent / "demos/specs"
 
 CF72_DICT = {
     "blocks": [
@@ -60,6 +64,12 @@ def test_derived_subgroup_cf72_against_all_pairs(cf72):
     derived = derived_subgroup(cf72)
     assert derived.size == 12
     assert np.array_equal(derived, _all_commutator_subgroup(cf72))
+
+
+@pytest.mark.parametrize("spec", ["mf72", "ns216"])
+def test_derived_subgroup_shipped_specs_against_all_pairs(spec):
+    B = build_family(load_spec(SPECS / f"{spec}.json"))
+    assert np.array_equal(derived_subgroup(B), _all_commutator_subgroup(B))
 
 
 def test_derived_subgroup_sd6(sd6):
