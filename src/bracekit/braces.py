@@ -88,7 +88,8 @@ class FiniteBrace:
 
     # subclasses implement these four on 1-d int64 arrays; the binary ones
     # take operands of equal length or of length 1, never mutate them, and
-    # return a new array of the broadcast length
+    # return a new array of the broadcast length; all four raise IndexError
+    # for indices outside 0..order-1
     def _add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -238,7 +239,8 @@ class _MixedRadix:
         scalar per coordinate, with the digit rest - q * m written into its
         output row. That is several times faster than dividing an (n, d) grid
         by the weights, or than ``np.divmod`` by the same scalar. The result
-        is the transpose of a (d, n) array.
+        is the transpose of a (d, n) array, so ``.T`` gives back one row per
+        coordinate. Indices outside 0..size-1 raise IndexError.
         """
         out = np.empty((self.moduli.size, idx.size), dtype=np.int64)
         rest = idx
@@ -248,10 +250,15 @@ class _MixedRadix:
             np.multiply(q, m, row)
             np.subtract(rest, row, row)
             rest = q
+        # the last quotient is zero exactly when 0 <= idx < size
+        if np.count_nonzero(rest):
+            bad = int(idx[rest != 0][0])
+            raise IndexError(f"index {bad} outside carrier of order {self.size}")
         return out.T
 
     def encode(self, coords: np.ndarray) -> np.ndarray:
-        return coords @ self.weights
+        """Indices of the (n, d) ``coords``; the transpose of a (d, n) array is read by rows."""
+        return self.weights @ coords.T
 
     def reordered(self, order) -> "_MixedRadix":
         """The codec whose coordinate i is this codec's coordinate ``order[i]``."""
@@ -277,20 +284,62 @@ def _one_hot_generators(self) -> np.ndarray:
     return self._mult_gens
 
 
+class _Residues:
+    """Row-wise reduction by one gather: row i of a (d, n) array modulo ``moduli[i]``.
+
+    Row i may hold values in [0, span * moduli[i]). Adding ``offsets[i]``
+    moves them into row i's segment of ``table``, whose entry v holds
+    v % moduli[i], so one ``take`` reduces every row. That is several times
+    faster than ``np.remainder`` by a column of moduli, which divides every
+    entry. The table holds span * sum(moduli) entries, a few per element of
+    any carrier with these coordinates.
+    """
+
+    def __init__(self, moduli: np.ndarray, span: int):
+        self.moduli = moduli[:, None]
+        sizes = (span * moduli).tolist()
+        self.offsets = np.cumsum([0] + sizes[:-1])[:, None]
+        self.table = np.concatenate([np.arange(n) % m for n, m in zip(sizes, moduli.tolist())])
+        # -v for v in [0, m) is m - v in (0, m], shifted into its segment
+        self._negated = self.moduli + self.offsets
+
+    def reduce(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write ``rows`` reduced into the C-contiguous ``out``; ``rows`` is overwritten."""
+        rows += self.offsets
+        return self._take(rows, out)
+
+    def negate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write -``rows`` reduced into ``out``, for ``rows`` already reduced."""
+        return self._take(self._negated - rows, out)
+
+    def _take(self, shifted: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # every shifted value lies in its row's segment, so nothing is clipped
+        return self.table.take(shifted, out=out, mode="clip")
+
+
+def _rows_index(rows: np.ndarray):
+    """Sorted row numbers as a slice when they are contiguous, else as they are."""
+    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 class TrivialBrace(FiniteBrace):
     """The brace whose multiplication is its addition, on a product of cyclics."""
 
     def __init__(self, moduli):
         self.codec = _MixedRadix(moduli)
         self.moduli = self.codec.moduli
+        self._residues = _Residues(self.moduli, 2)
         super().__init__(self.codec.size)
 
     def _add(self, x, y):
-        c = (self.codec.decode(x) + self.codec.decode(y)) % self.codec.moduli
-        return self.codec.encode(c)
+        c = self.codec.decode(x).T + self.codec.decode(y).T
+        return self.codec.encode(self._residues.reduce(c, np.empty_like(c)).T)
 
     def _neg(self, x):
-        return self.codec.encode(-self.codec.decode(x) % self.codec.moduli)
+        c = self.codec.decode(x).T
+        return self.codec.encode(self._residues.negate(c, np.empty_like(c)).T)
 
     _mul = _add
     _inv = _neg
@@ -318,12 +367,21 @@ class AsymmetricProductBrace(FiniteBrace):
     positions so composite constructions can interleave storage; it never
     changes the algebra.
 
+    The kernels work on digit rows: ``_split`` decodes indices to one (d, n)
+    array whose row i is logical coordinate i, and each kernel writes its t
+    rows and s rows into one (d, n) output that it encodes once. Every row
+    sum stays below a small multiple of its modulus, so it is reduced by one
+    gather from a residue table (``_Residues``); the pairing value of each
+    component is reduced on its own first. Component k of the pairing is
+    zero outside the t rows of its block, so it is contracted over those
+    rows only, and against a length-1 operand as one matrix-vector product.
+
     Each alpha_s is an automorphism of T, so all of them fit in one table of
-    |S| * |T| = order rows of dT coordinates, in the smallest unsigned dtype
-    that holds max(t_moduli) - 1 (uint8 for every shipped spec: 6 MB at
-    order 750141). The kernels apply alpha as one gather from it, whatever
-    the operand shapes. The first multiplication or inversion builds the
-    table; construction builds none.
+    dT rows by |S| * |T| = order columns, in the smallest unsigned dtype that
+    holds max(t_moduli) - 1 (uint8 for every shipped spec: 6 MB at order
+    750141). The kernels apply alpha as one gather of columns from it,
+    whatever the operand shapes. The first multiplication or inversion
+    builds the table; construction builds none.
     """
 
     def __init__(
@@ -362,15 +420,33 @@ class AsymmetricProductBrace(FiniteBrace):
         self._logical = self.codec.reordered(self._inv_layout)
         self._dt = dt
         self.family_blocks = tuple(family_blocks) if family_blocks else None
-        # alpha_s(t) is row (s @ _s_weights) * |T| + t @ _t_weights of _alpha_table,
-        # which the first _alpha call fills; s @ _s_weights is the integer key of
-        # s, and _t_weights are the C-order strides of np.indices(t_moduli)
+        # alpha_s(t) is column (_s_weights @ s) * |T| + _t_weights @ t of
+        # _alpha_table, which the first _alpha call fills; _s_weights @ s is the
+        # integer key of s, and _t_weights are the C-order strides of
+        # np.indices(t_moduli)
         self._s_weights = _MixedRadix(self._sm).weights
         self._t_weights = _MixedRadix(self._tm[::-1]).weights[::-1]
         self._t_size = int(np.prod(self._tm))
+        self._s_key_weights = self._s_weights * self._t_size
         self._alpha_table: Optional[np.ndarray] = None
         self._gen_powers = [self._power_table(self._gens[l], int(self._sm[l])) for l in range(ds)]
         self._validate()
+        self._d = d
+        # a t row is a sum of two coordinates; an s row is a sum of two
+        # coordinates and one pairing value, each below its modulus
+        self._t_residues = _Residues(self._tm, 2)
+        self._s_residues = _Residues(self._sm, 3)
+        # component k of b is zero outside the t rows of its support: (k, rows,
+        # form on them) for each nonzero component, and (rows, pairing on them)
+        # for the union of the supports, which pairs a length-1 operand with
+        # every component in one product; rows are a slice when contiguous
+        self._forms = []
+        for k, form in enumerate(self._pairing):
+            rows = np.flatnonzero(form.any(axis=0))
+            if rows.size:
+                self._forms.append((k, _rows_index(rows), form[np.ix_(rows, rows)]))
+        rows = np.flatnonzero(self._pairing.any(axis=(0, 1)))
+        self._pair_support = (_rows_index(rows), self._pairing[:, rows[:, None], rows])
         super().__init__(self.codec.size)
 
     # matrices act on t-coordinates; row i of any such matrix lives mod t_moduli[i]
@@ -416,72 +492,97 @@ class AsymmetricProductBrace(FiniteBrace):
                     raise ConditionViolationError("action generators do not commute")
 
     def _split(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        logical = self._logical.decode(idx)
-        return logical[:, : self._dt], logical[:, self._dt :]
+        """The (dT, n) t rows and the (dS, n) s rows of ``idx``, as views of one array."""
+        rows = self._logical.decode(idx).T
+        return rows[: self._dt], rows[self._dt :]
 
-    def _join(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return self._logical.encode(np.concatenate([t, s], axis=1))
+    def _join(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the (d, n) logical rows [t..., s...]."""
+        return self._logical.encode(rows.T)
 
-    def _pair_val(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        # a single row is contracted with the pairing first; b is symmetric,
-        # so that row may be moved to the left
-        if t2.shape[0] == 1:
+    def _pair_into(self, s: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
+        """Add b(t1, t2) to the s rows ``s``, each component reduced below its modulus first."""
+        # a single column is contracted with the pairing first; b is symmetric,
+        # so that column may be moved to the left
+        if t2.shape[1] == 1:
             t1, t2 = t2, t1
-        if t1.shape[0] == 1:
-            return t2 @ (t1[0] @ self._pairing).T % self._sm
-        # one (n, dT) product and a row-wise dot per component keep memory at O(n dT)
-        out = np.empty((t1.shape[0], self._sm.size), dtype=np.int64)
-        for k, form in enumerate(self._pairing):
-            out[:, k] = np.einsum("ni,ni->n", t1 @ form, t2)
-        return out % self._sm
+        if t1.shape[1] == 1:
+            rows, pairing = self._pair_support
+            v = (pairing @ t1[rows, 0]).dot(t2[rows])
+            v %= self._s_residues.moduli
+            s += v
+            return
+        for k, rows, form in self._forms:
+            v = np.vecdot(form @ t1[rows], t2[rows], axis=0)
+            v %= self._sm[k]
+            s[k] += v
 
     def _alpha(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Rows alpha_{s_i}(t_i); ``s`` and ``t`` have equal lengths or length 1."""
+        """Rows alpha_{s_i}(t_i) of the (dS, n) ``s`` and (dT, n) ``t``; n may be 1 on either side."""
         if self._alpha_table is None:
             self._alpha_table = self._tabulate_alpha()
-        return self._alpha_table[(s @ self._s_weights) * self._t_size + t @ self._t_weights]
+        key = self._s_key_weights @ s + self._t_weights @ t
+        return self._alpha_table.take(key, axis=1)
 
     def _tabulate_alpha(self) -> np.ndarray:
-        """(order, dT) images alpha_s(t), s-key major, t in C order, as small ints.
+        """(dT, order) images alpha_s(t), s-key major, t in C order, as small ints.
 
         Keys go in blocks of about _CHUNK table entries: each block decodes its
         keys to s-digits, multiplies their generator powers as one batch of
         matrices, and applies them to every t at once.
         """
         dt, size, keys_total = self._dt, self._t_size, self.order // self._t_size
-        ts = np.indices(self._tm.tolist()).reshape(dt, size).T
+        ts = np.indices(self._tm.tolist()).reshape(dt, size)
         powers = [np.stack(p) for p in self._gen_powers]
-        table = np.empty((self.order, dt), dtype=np.min_scalar_type(int(self._tm.max()) - 1))
+        table = np.empty((dt, self.order), dtype=np.min_scalar_type(int(self._tm.max()) - 1))
         step = max(1, _CHUNK // (size * dt))
         for lo in range(0, keys_total, step):
             keys = np.arange(lo, min(lo + step, keys_total), dtype=np.int64)
             m = np.eye(dt, dtype=np.int64)
             for l, w in enumerate(self._s_weights.tolist()):
                 m = self._reduce(powers[l][keys // w % int(self._sm[l])] @ m)
-            images = ts @ m.transpose(0, 2, 1) % self._tm
-            table[lo * size : (lo + keys.size) * size] = images.reshape(-1, dt)
+            images = m @ ts % self._tm[:, None]
+            table[:, lo * size : (lo + keys.size) * size] = images.transpose(1, 0, 2).reshape(dt, -1)
         return table
 
     def _add(self, x, y):
         t1, s1 = self._split(x)
         t2, s2 = self._split(y)
-        t = (t1 + t2) % self._tm
-        s = (s1 + s2 + self._pair_val(t1, t2)) % self._sm
-        return self._join(t, s)
+        t = t1 + t2
+        out = np.empty((self._d, t.shape[1]), dtype=np.int64)
+        self._t_residues.reduce(t, out[: self._dt])
+        s = s1 + s2
+        self._pair_into(s, t1, t2)
+        self._s_residues.reduce(s, out[self._dt :])
+        return self._join(out)
 
     def _neg(self, x):
         t, s = self._split(x)
-        return self._join(-t % self._tm, (-s + self._pair_val(t, t)) % self._sm)
+        out = np.empty((self._d, x.size), dtype=np.int64)
+        self._t_residues.negate(t, out[: self._dt])
+        s_neg = self._s_residues.moduli - s
+        self._pair_into(s_neg, t, t)
+        self._s_residues.reduce(s_neg, out[self._dt :])
+        return self._join(out)
 
     def _mul(self, x, y):
         t1, s1 = self._split(x)
         t2, s2 = self._split(y)
-        return self._join((t1 + self._alpha(s1, t2)) % self._tm, (s1 + s2) % self._sm)
+        t = t1 + self._alpha(s1, t2)
+        out = np.empty((self._d, t.shape[1]), dtype=np.int64)
+        self._t_residues.reduce(t, out[: self._dt])
+        self._s_residues.reduce(s1 + s2, out[self._dt :])
+        return self._join(out)
 
     def _inv(self, x):
         t, s = self._split(x)
-        s_inv = -s % self._sm
-        return self._join(self._alpha(s_inv, -t % self._tm), s_inv)
+        out = np.empty((self._d, x.size), dtype=np.int64)
+        t_out, s_out = out[: self._dt], out[self._dt :]
+        self._s_residues.negate(s, s_out)
+        self._t_residues.negate(t, t_out)
+        # the key of (s_out, t_out) is taken before the gather overwrites t_out
+        t_out[...] = self._alpha(s_out, t_out)
+        return self._join(out)
 
     multiplicative_generators = _one_hot_generators
 
@@ -537,7 +638,9 @@ class SemidirectProductBrace(FiniteBrace):
                     raise ActionNotAutomorphismError("action does not preserve multiplication")
 
     def _split(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return idx % self.A.order, idx // self.A.order
+        # numpy divides by a scalar fast, but has no such path for %
+        q = idx // self.A.order
+        return idx - q * self.A.order, q
 
     def _join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + self.A.order * b
@@ -620,16 +723,27 @@ class TableBrace(FiniteBrace):
             raise ConditionViolationError("table has no additive identity")
         return self._zero
 
+    def _check(self, *operands) -> None:
+        # numpy would wrap negative indices round instead of rejecting them
+        for x in operands:
+            if x.size and (x.min() < 0 or x.max() >= self.order):
+                bad = int(x[(x < 0) | (x >= self.order)][0])
+                raise IndexError(f"index {bad} outside carrier of order {self.order}")
+
     def _add(self, x, y):
+        self._check(x, y)
         return self.add_table[x, y]
 
     def _mul(self, x, y):
+        self._check(x, y)
         return self.mul_table[x, y]
 
     def _neg(self, x):
+        self._check(x)
         return self._neg_arr[x]
 
     def _inv(self, x):
+        self._check(x)
         return self._inv_arr[x]
 
 
@@ -959,8 +1073,12 @@ def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list[np.ndarray]:
 
 
 def _as_members(obj) -> np.ndarray:
-    members = getattr(obj, "members", obj)
-    return np.unique(np.asarray(members, dtype=np.int64))
+    """Sorted distinct members of a record or an index array."""
+    members = np.sort(np.asarray(getattr(obj, "members", obj), dtype=np.int64), axis=None)
+    # a sort and an adjacent comparison: numpy's unique hashes, which is far slower on sorted input
+    keep = np.ones(members.size, dtype=bool)
+    np.not_equal(members[1:], members[:-1], out=keep[1:])
+    return members[keep]
 
 
 def _outside_carrier(B: FiniteBrace, members: np.ndarray) -> bool:

@@ -447,9 +447,9 @@ def nonsimple_witness(B: AsymmetricProductBrace) -> IdealRecord:
     mask = np.ones(B.order, dtype=bool)
     for blk, h in checks:
         lo, hi = blk.t_coords
-        slots = t[:, lo:hi].reshape(B.order, blk.slots, blk.dim)
-        residues = np.einsum("kd,nsd->nsk", h, slots) % blk.prime
-        mask &= ~np.any(residues, axis=(1, 2))
+        slots = t[lo:hi].reshape(blk.slots, blk.dim, B.order)
+        residues = np.einsum("kd,sdn->skn", h, slots) % blk.prime
+        mask &= ~np.any(residues, axis=(0, 1))
     record = IdealRecord.from_members(B, idx[mask])
     if not is_ideal(B, record.members):
         raise ConditionViolationError("witness set failed ideal verification")
@@ -484,10 +484,9 @@ def build_prime_example() -> SemidirectProductBrace:
     t, s = A._split(idx)
 
     def shifted(a: int) -> np.ndarray:
-        slots = t[:, lo:hi].reshape(A.order, blk.slots, blk.dim)
-        rolled = np.roll(slots, -a, axis=1).reshape(A.order, hi - lo)
-        t2 = np.concatenate([t[:, :lo], rolled, t[:, hi:]], axis=1)
-        return A._join(t2, s)
+        slots = t[lo:hi].reshape(blk.slots, blk.dim, A.order)
+        rolled = np.roll(slots, -a, axis=0).reshape(hi - lo, A.order)
+        return A._join(np.concatenate([t[:lo], rolled, t[hi:], s]))
 
     act = np.stack([shifted(a) for a in range(5)])
     return SemidirectProductBrace(A, outer, act)

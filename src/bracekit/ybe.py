@@ -78,8 +78,9 @@ def solution_from_brace(B: FiniteBrace) -> SolutionTable:
             "no passing axiom report cached on this brace; run check_axioms first"
         )
     idx = B.elements()
+    # sigma is the table of every lam, so gamma is a gather from it
     sigma = B.lam(idx[:, None], idx[None, :])
-    gamma = B.lam(B.inv(sigma), idx[:, None])
+    gamma = sigma[B.inv(idx)[sigma], idx[:, None]]
     return SolutionTable(sigma=sigma, gamma=gamma)
 
 

@@ -6,6 +6,7 @@ twist on multiplication) before the implementation existed.
 """
 
 import hashlib
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -293,15 +294,16 @@ def inner18432():
 
 
 def _alpha_reference(B, s, t):
-    # alpha_s(t) = t M(s)^T mod t_moduli, M(s) the product of generator powers
-    n = max(len(s), len(t))
-    s, t = np.broadcast_to(s, (n, s.shape[1])), np.broadcast_to(t, (n, t.shape[1]))
-    out = np.empty((n, t.shape[1]), dtype=np.int64)
+    # alpha_s(t) = M(s) t mod t_moduli on (dS, n) s rows and (dT, n) t rows,
+    # M(s) the product of generator powers
+    n = max(s.shape[1], t.shape[1])
+    s, t = np.broadcast_to(s, (s.shape[0], n)), np.broadcast_to(t, (t.shape[0], n))
+    out = np.empty((t.shape[0], n), dtype=np.int64)
     for i in range(n):
-        m = np.eye(t.shape[1], dtype=np.int64)
-        for l, e in enumerate(s[i].tolist()):
+        m = np.eye(t.shape[0], dtype=np.int64)
+        for l, e in enumerate(s[:, i].tolist()):
             m = B._gen_powers[l][e] @ m % B._tm[:, None]
-        out[i] = t[i] @ m.T % B._tm
+        out[:, i] = m @ t[:, i] % B._tm
     return out
 
 
@@ -324,12 +326,12 @@ def test_alpha_table_matches_matrix_reference(case, request):
     got = B._alpha(s, t)
     assert np.array_equal(got, _alpha_reference(B, s, t))
     table = B._alpha_table
-    assert table.shape == (B.order, B._tm.size)
+    assert table.shape == (B._tm.size, B.order)
     assert table.dtype == np.min_scalar_type(int(B._tm.max()) - 1)
     assert table.dtype == (np.uint16 if case == "t257" else np.uint8)
     # a length-1 s against every t, and every s against a length-1 t
     for i in np.linspace(0, B.order - 1, 5).astype(int).tolist():
-        one_s, one_t = s[i : i + 1], t[i : i + 1]
+        one_s, one_t = s[:, i : i + 1], t[:, i : i + 1]
         assert np.array_equal(B._alpha(one_s, t), _alpha_reference(B, one_s, t))
         assert np.array_equal(B._alpha(s, one_t), _alpha_reference(B, s, one_t))
         assert np.array_equal(B._alpha(one_s, one_t), _alpha_reference(B, one_s, one_t))
@@ -340,9 +342,9 @@ def test_alpha_table_on_the_order_18432_factor(inner18432):
     rng = np.random.default_rng(5)
     t, s = A._split(rng.integers(0, A.order, 5_000))
     assert np.array_equal(A._alpha(s, t), _alpha_reference(A, s, t))
-    assert np.array_equal(A._alpha(s[:1], t), _alpha_reference(A, s[:1], t))
-    assert np.array_equal(A._alpha(s, t[:1]), _alpha_reference(A, s, t[:1]))
-    assert A._alpha_table.shape == (18432, 11) and A._alpha_table.dtype == np.uint8
+    assert np.array_equal(A._alpha(s[:, :1], t), _alpha_reference(A, s[:, :1], t))
+    assert np.array_equal(A._alpha(s, t[:, :1]), _alpha_reference(A, s, t[:, :1]))
+    assert A._alpha_table.shape == (11, 18432) and A._alpha_table.dtype == np.uint8
 
 
 def test_construction_builds_no_alpha_table():
@@ -355,7 +357,7 @@ def test_construction_builds_no_alpha_table():
     for B in fresh:
         assert B._alpha_table is None
         B.mul(B.order - 1, B.order - 1)
-        assert B._alpha_table.shape == (B.order, B._tm.size)
+        assert B._alpha_table.shape == (B._tm.size, B.order)
 
 
 # SHA-256 of the little-endian int64 results on 100,000 seeded operands
@@ -391,6 +393,140 @@ def test_large_kernels_frozen(case, request):
         assert result.dtype == np.int64
         got[op] = hashlib.sha256(result.astype("<i8").tobytes()).hexdigest()
     assert got == _FROZEN_KERNEL_DIGESTS[case]
+
+
+def _coordinate_reference(B, op, x, y=None):
+    # the asymmetric product's kernels as (n, d) coordinate formulas, one row
+    # per element, as they stood before the kernels moved to digit rows; the
+    # digits come from the weights and alpha from the matrix reference
+    weights, moduli, dt = B._logical.weights, B._logical.moduli, B._dt
+    tm, sm = B._tm, B._sm
+
+    def split(idx):
+        logical = idx[:, None] // weights % moduli
+        return logical[:, :dt], logical[:, dt:]
+
+    def join(t, s):
+        return np.concatenate([t, s], axis=1) @ weights
+
+    def pair_val(t1, t2):
+        return np.einsum("kij,ni,nj->nk", B._pairing, t1, t2) % sm
+
+    def alpha(s, t):
+        return _alpha_reference(B, s.T, t.T).T
+
+    t1, s1 = split(x)
+    if op == "neg":
+        return join(-t1 % tm, (-s1 + pair_val(t1, t1)) % sm)
+    if op == "inv":
+        s_inv = -s1 % sm
+        return join(alpha(s_inv, -t1 % tm), s_inv)
+    t2, s2 = split(y)
+    if op == "add":
+        return join((t1 + t2) % tm, (s1 + s2 + pair_val(t1, t2)) % sm)
+    assert op == "mul"
+    return join((t1 + alpha(s1, t2)) % tm, (s1 + s2) % sm)
+
+
+def _assert_kernels_match_reference(B, x, y, singles):
+    # x and y have equal lengths; each single is also paired with y on the
+    # left and with x on the right, as a length-1 operand
+    pairs = [(x, y)]
+    for g in singles:
+        one = np.array([g], dtype=np.int64)
+        pairs += [(one, y), (x, one)]
+    for op in ("add", "mul"):
+        for a, b in pairs:
+            got = getattr(B, op)(a, b)
+            a_full, b_full = np.broadcast_arrays(a, b)
+            assert np.array_equal(got, _coordinate_reference(B, op, a_full, b_full)), (op, a.size, b.size)
+    for op in ("neg", "inv"):
+        assert np.array_equal(getattr(B, op)(x), _coordinate_reference(B, op, x)), op
+
+
+@pytest.mark.parametrize("spec", ["cf72", "mf72"])
+def test_kernels_match_the_coordinate_reference_on_every_pair(spec):
+    B = build_family(load_spec(SPECS / f"{spec}.json"))
+    idx = B.elements()
+    x, y = np.repeat(idx, B.order), np.tile(idx, B.order)
+    _assert_kernels_match_reference(B, x, y, singles=[0, 1, 37, B.order - 1])
+    assert np.array_equal(B.neg(idx), _coordinate_reference(B, "neg", idx))
+    assert np.array_equal(B.inv(idx), _coordinate_reference(B, "inv", idx))
+
+
+def test_kernels_match_the_coordinate_reference_on_the_order_18432_factor(inner18432):
+    A = inner18432
+    rng = np.random.default_rng(12)
+    x = A.elements()
+    _assert_kernels_match_reference(A, x, rng.permutation(A.order), singles=[0, 5_001, A.order - 1])
+
+
+def test_kernels_match_the_coordinate_reference_at_order_750141(bulk750k):
+    B = bulk750k
+    rng = np.random.default_rng(13)
+    x, y = rng.integers(0, B.order, (2, 10_000))
+    singles = [0, B.order - 1, *B.multiplicative_generators()[:3].tolist()]
+    _assert_kernels_match_reference(B, x, y, singles)
+
+
+@st.composite
+def small_asymmetric_products(draw):
+    # random moduli, a random symmetric pairing that respects them (entry
+    # (i, j) of component k is a multiple of s_k / gcd(s_k, t_i, t_j)) on a
+    # random set of t rows, often not contiguous, each action generator the
+    # identity or -1 (order 2, so only for even s_k), and a random layout
+    dt, ds = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    tm = draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=dt, max_size=dt))
+    sm = draw(st.lists(st.sampled_from([2, 3, 4, 6]), min_size=ds, max_size=ds))
+    pairing = np.zeros((ds, dt, dt), dtype=np.int64)
+    for k in range(ds):
+        rows = draw(st.lists(st.booleans(), min_size=dt, max_size=dt))
+        for i in range(dt):
+            for j in range(i, dt):
+                g = math.gcd(sm[k], tm[i], tm[j]) if rows[i] and rows[j] else 1
+                pairing[k, i, j] = pairing[k, j, i] = draw(st.integers(0, g - 1)) * (sm[k] // g)
+    gens = [
+        -np.eye(dt, dtype=np.int64) if m % 2 == 0 and draw(st.booleans()) else np.eye(dt, dtype=np.int64)
+        for m in sm
+    ]
+    layout = draw(st.permutations(range(dt + ds)))
+    B = AsymmetricProductBrace(tm, sm, pairing, gens, layout=layout)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return B, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_asymmetric_products())
+def test_kernels_match_the_coordinate_reference_on_random_products(data):
+    B, seed = data
+    rng = np.random.default_rng(seed)
+    x = B.elements()
+    singles = rng.integers(0, B.order, 2).tolist()
+    _assert_kernels_match_reference(B, x, rng.permutation(B.order), singles)
+
+
+@pytest.mark.parametrize("name", ["trivial", "asym9", "cf72", "sd6", "table"])
+def test_kernels_reject_indices_outside_the_carrier(name, asym9, cf72, sd6):
+    B = {
+        "trivial": TrivialBrace([2, 3, 4]),
+        "asym9": asym9,
+        "cf72": cf72,
+        "sd6": sd6,
+        "table": TableBrace(*tabulate(cf72)),
+    }[name]
+    for bad in (B.order, -1):
+        calls = {
+            "add left": lambda: B.add(bad, 0),
+            "add right": lambda: B.add(np.array([0, 1]), np.array([1, bad])),
+            "mul left": lambda: B.mul(np.array([bad, 1]), 1),
+            "mul right": lambda: B.mul(0, bad),
+            "neg": lambda: B.neg(bad),
+            "inv": lambda: B.inv(np.array([0, bad])),
+        }
+        for what, call in calls.items():
+            with pytest.raises(IndexError):
+                call()
+                pytest.fail(f"{what}({bad}) returned")
 
 
 @pytest.mark.parametrize("moduli", [[3, 1, 257, 2, 1], [257, 1, 65536, 7, 1_000_003]])
