@@ -330,16 +330,20 @@ class TrivialBrace(FiniteBrace):
     def __init__(self, moduli):
         self.codec = _MixedRadix(moduli)
         self.moduli = self.codec.moduli
-        self._residues = _Residues(self.moduli, 2)
+        # reduced by np.remainder, so construction allocates nothing per
+        # residue and any carrier the codec accepts works
+        self._moduli_column = self.moduli[:, None]
         super().__init__(self.codec.size)
 
     def _add(self, x, y):
         c = self.codec.decode(x).T + self.codec.decode(y).T
-        return self.codec.encode(self._residues.reduce(c, np.empty_like(c)).T)
+        c %= self._moduli_column
+        return self.codec.encode(c.T)
 
     def _neg(self, x):
-        c = self.codec.decode(x).T
-        return self.codec.encode(self._residues.negate(c, np.empty_like(c)).T)
+        c = np.negative(self.codec.decode(x).T)
+        c %= self._moduli_column
+        return self.codec.encode(c.T)
 
     _mul = _add
     _inv = _neg
@@ -371,7 +375,8 @@ class AsymmetricProductBrace(FiniteBrace):
     array whose row i is logical coordinate i, and each kernel writes its t
     rows and s rows into one (d, n) output that it encodes once. Every row
     sum stays below a small multiple of its modulus, so it is reduced by one
-    gather from a residue table (``_Residues``); the pairing value of each
+    gather from a residue table (``_Residues``, 2 * sum(t_moduli) +
+    3 * sum(s_moduli) entries built at construction); the pairing value of each
     component is reduced on its own first. Component k of the pairing is
     zero outside the t rows of its block, so it is contracted over those
     rows only, and against a length-1 operand as one matrix-vector product.
@@ -513,7 +518,7 @@ class AsymmetricProductBrace(FiniteBrace):
             s += v
             return
         for k, rows, form in self._forms:
-            v = np.vecdot(form @ t1[rows], t2[rows], axis=0)
+            v = np.einsum("in,in->n", form @ t1[rows], t2[rows])
             v %= self._sm[k]
             s[k] += v
 

@@ -505,6 +505,22 @@ def test_kernels_match_the_coordinate_reference_on_random_products(data):
     _assert_kernels_match_reference(B, x, rng.permutation(B.order), singles)
 
 
+def test_trivial_brace_on_a_huge_cyclic_coordinate():
+    # the kernels reduce by np.remainder, so nothing is allocated per residue
+    B = TrivialBrace([2**40, 3])
+    rng = np.random.default_rng(0)
+    top = B.order - 1
+    x = np.concatenate([[0, 1, top], rng.integers(0, B.order, 100)])
+    y = np.concatenate([[top, top, 1], rng.integers(0, B.order, 100)])
+    total = B.codec.decode(x) + B.codec.decode(y)
+    assert np.array_equal(B.add(x, y), B.codec.encode(total % B.moduli))
+    assert np.array_equal(B.mul(x, y), B.add(x, y))
+    assert np.array_equal(B.neg(x), B.codec.encode(-B.codec.decode(x) % B.moduli))
+    assert not B.add(x, B.inv(x)).any()
+    with pytest.raises(IndexError):
+        B.neg(B.order)
+
+
 @pytest.mark.parametrize("name", ["trivial", "asym9", "cf72", "sd6", "table"])
 def test_kernels_reject_indices_outside_the_carrier(name, asym9, cf72, sd6):
     B = {
