@@ -10,7 +10,11 @@ from those kernels, so each concrete carrier only has to get four formulas
 right. The kernels take 1-d int64 operands that have equal lengths or length
 1, and broadcast a length-1 operand themselves: a lambda map or a conjugation
 applies one generator to a whole batch, and that generator is then decoded
-and paired once, not once per batch element.
+and paired once, not once per batch element. The carriers built on a
+mixed-radix codec walk their operands in blocks of _BLOCK columns, through
+digit rows that each thread keeps and reuses (``_blockwise``): a kernel call
+allocates its result and nothing else of its operands' length, and several
+threads may call the kernels of one brace at once.
 
 Index 0 is always the shared identity for carriers built from formulas; table
 carriers detect their identity from the table so that deliberately corrupted
@@ -38,6 +42,7 @@ multiplies every element of the left factor.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -89,7 +94,7 @@ class FiniteBrace:
     # subclasses implement these four on 1-d int64 arrays; the binary ones
     # take operands of equal length or of length 1, never mutate them, and
     # return a new array of the broadcast length; all four raise IndexError
-    # for indices outside 0..order-1
+    # for indices outside 0..order-1 and may run in several threads at once
     def _add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -207,6 +212,37 @@ class BraceElement:
         return f"BraceElement({self.index} in {self.brace!r})"
 
 
+_BLOCK = 1 << 15  # columns per block of the digit-row kernels; the sweep is in CHANGES.md
+
+
+class _Scratch(threading.local):
+    """int64 rows that the digit-row kernels of one thread reuse from call to call.
+
+    ``rows(d, m)`` is three C-contiguous (d, m) views of one flat buffer,
+    which grows when larger views are asked for; the kernels ask for
+    m <= _BLOCK. Fresh (d, n) arrays would cost a page fault per 4 KB on
+    every large call, because the allocator hands big freed blocks back to
+    the system. No value survives from one call to the next: every kernel
+    writes a row before it reads it.
+    """
+
+    def __init__(self):
+        self._flat = np.empty(0, dtype=np.int64)
+        self._shape = None
+        self._rows = ()
+
+    def rows(self, d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._shape != (d, m):
+            if self._flat.size < 3 * d * m:
+                self._flat = np.empty(3 * d * m, dtype=np.int64)
+            self._rows = tuple(self._flat[: 3 * d * m].reshape(3, d, m))
+            self._shape = (d, m)
+        return self._rows
+
+
+_scratch = _Scratch()
+
+
 class _MixedRadix:
     """Mixed-radix codec; the first-listed coordinate varies fastest.
 
@@ -232,21 +268,21 @@ class _MixedRadix:
         order = np.argsort(self.weights, kind="stable").tolist()
         return [(j, int(self.moduli[j])) for j in order]
 
-    def decode(self, idx: np.ndarray) -> np.ndarray:
-        """(n, d) coordinates of the 1-d ``idx``.
+    def decode(self, idx: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(n, d) coordinates of the 1-d ``idx``, written into ``out`` when given.
 
         Digits come off from the lightest weight up: one floor division by a
         scalar per coordinate, with the digit rest - q * m written into its
         output row. That is several times faster than dividing an (n, d) grid
         by the weights, or than ``np.divmod`` by the same scalar. The result
-        is the transpose of a (d, n) array, so ``.T`` gives back one row per
-        coordinate. Indices outside 0..size-1 raise IndexError.
+        (and ``out``) is the transpose of a (d, n) array, so ``.T`` gives back
+        one row per coordinate. Indices outside 0..size-1 raise IndexError.
         """
-        out = np.empty((self.moduli.size, idx.size), dtype=np.int64)
+        rows = np.empty((self.moduli.size, idx.size), dtype=np.int64) if out is None else out.T
         rest = idx
         for j, m in self._digits:
             q = rest // m
-            row = out[j]
+            row = rows[j]
             np.multiply(q, m, row)
             np.subtract(rest, row, row)
             rest = q
@@ -254,11 +290,14 @@ class _MixedRadix:
         if np.count_nonzero(rest):
             bad = int(idx[rest != 0][0])
             raise IndexError(f"index {bad} outside carrier of order {self.size}")
-        return out.T
+        return rows.T
 
-    def encode(self, coords: np.ndarray) -> np.ndarray:
-        """Indices of the (n, d) ``coords``; the transpose of a (d, n) array is read by rows."""
-        return self.weights @ coords.T
+    def encode(self, coords: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Indices of the (n, d) ``coords``, written into ``out`` when given.
+
+        ``coords`` is read by rows of its transpose, as ``decode`` returns it.
+        """
+        return np.matmul(self.weights, coords.T, out)
 
     def reordered(self, order) -> "_MixedRadix":
         """The codec whose coordinate i is this codec's coordinate ``order[i]``."""
@@ -285,23 +324,22 @@ def _one_hot_generators(self) -> np.ndarray:
 
 
 class _Residues:
-    """Row-wise reduction by one gather: row i of a (d, n) array modulo ``moduli[i]``.
+    """Row-wise reduction by one gather: row i of a (d, m) array modulo ``moduli[i]``.
 
-    Row i may hold values in [0, span * moduli[i]). Adding ``offsets[i]``
+    Row i may hold values in [0, spans[i] * moduli[i]). Adding ``offsets[i]``
     moves them into row i's segment of ``table``, whose entry v holds
     v % moduli[i], so one ``take`` reduces every row. That is several times
     faster than ``np.remainder`` by a column of moduli, which divides every
-    entry. The table holds span * sum(moduli) entries, a few per element of
+    entry. The table holds sum(spans * moduli) entries, a few per element of
     any carrier with these coordinates.
     """
 
-    def __init__(self, moduli: np.ndarray, span: int):
-        self.moduli = moduli[:, None]
-        sizes = (span * moduli).tolist()
+    def __init__(self, moduli: np.ndarray, spans: np.ndarray):
+        sizes = (spans * moduli).tolist()
         self.offsets = np.cumsum([0] + sizes[:-1])[:, None]
         self.table = np.concatenate([np.arange(n) % m for n, m in zip(sizes, moduli.tolist())])
         # -v for v in [0, m) is m - v in (0, m], shifted into its segment
-        self._negated = self.moduli + self.offsets
+        self._negated = moduli[:, None] + self.offsets
 
     def reduce(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write ``rows`` reduced into the C-contiguous ``out``; ``rows`` is overwritten."""
@@ -309,12 +347,44 @@ class _Residues:
         return self._take(rows, out)
 
     def negate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write -``rows`` reduced into ``out``, for ``rows`` already reduced."""
-        return self._take(self._negated - rows, out)
+        """Write -``rows`` reduced into ``out``; ``rows`` must be reduced and is overwritten."""
+        return self._take(np.subtract(self._negated, rows, rows), out)
 
     def _take(self, shifted: np.ndarray, out: np.ndarray) -> np.ndarray:
         # every shifted value lies in its row's segment, so nothing is clipped
         return self.table.take(shifted, out=out, mode="clip")
+
+
+def _blockwise(codec: _MixedRadix, step, x: np.ndarray, y: Optional[np.ndarray] = None):
+    """Indices of ``step`` over the digit rows of ``x`` (and ``y``), _BLOCK columns at a time.
+
+    Each block of an operand is decoded into this thread's scratch rows; a
+    length-1 operand is decoded once into a (d, 1) column that broadcasts.
+    ``step(x_rows, y_rows, acc, out)`` writes the block's reduced (d, m)
+    result rows into ``out``, which is encoded into its slice of the result,
+    and may overwrite ``acc``, the rows of an operand that is walked
+    (``x_rows`` unless only ``y`` is). So the result is the only array of
+    the operands' length that a call allocates.
+    """
+    d = codec.moduli.size
+    walk_x = y is None or x.size != 1 or y.size == 1
+    walk_y = y is not None and y.size != 1
+    n = x.size if walk_x else y.size
+    x_rows = None if walk_x else codec.decode(x).T
+    y_rows = None if y is None or walk_y else codec.decode(y).T
+    result = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        x_block, y_block, out = _scratch.rows(d, hi - lo)
+        if walk_x:
+            codec.decode(x[lo:hi], x_block.T)
+            x_rows = x_block
+        if walk_y:
+            codec.decode(y[lo:hi], y_block.T)
+            y_rows = y_block
+        step(x_rows, y_rows, x_rows if walk_x else y_rows, out)
+        codec.encode(out.T, result[lo:hi])
+    return result
 
 
 def _rows_index(rows: np.ndarray):
@@ -335,15 +405,17 @@ class TrivialBrace(FiniteBrace):
         self._moduli_column = self.moduli[:, None]
         super().__init__(self.codec.size)
 
+    def _add_rows(self, x, y, _, out):
+        np.remainder(np.add(x, y, out), self._moduli_column, out)
+
+    def _neg_rows(self, x, _, __, out):
+        np.remainder(np.negative(x, out), self._moduli_column, out)
+
     def _add(self, x, y):
-        c = self.codec.decode(x).T + self.codec.decode(y).T
-        c %= self._moduli_column
-        return self.codec.encode(c.T)
+        return _blockwise(self.codec, self._add_rows, x, y)
 
     def _neg(self, x):
-        c = np.negative(self.codec.decode(x).T)
-        c %= self._moduli_column
-        return self.codec.encode(c.T)
+        return _blockwise(self.codec, self._neg_rows, x)
 
     _mul = _add
     _inv = _neg
@@ -371,15 +443,19 @@ class AsymmetricProductBrace(FiniteBrace):
     positions so composite constructions can interleave storage; it never
     changes the algebra.
 
-    The kernels work on digit rows: ``_split`` decodes indices to one (d, n)
-    array whose row i is logical coordinate i, and each kernel writes its t
-    rows and s rows into one (d, n) output that it encodes once. Every row
-    sum stays below a small multiple of its modulus, so it is reduced by one
-    gather from a residue table (``_Residues``, 2 * sum(t_moduli) +
-    3 * sum(s_moduli) entries built at construction); the pairing value of each
-    component is reduced on its own first. Component k of the pairing is
-    zero outside the t rows of its block, so it is contracted over those
-    rows only, and against a length-1 operand as one matrix-vector product.
+    The kernels work on digit rows, _BLOCK = 2^15 columns at a time
+    (``_blockwise``): each block of an operand is decoded into (d, m) rows
+    whose row i is logical coordinate i, the kernel writes its t rows and s
+    rows into one (d, m) output, and that output is encoded into the block's
+    slice of the result. The rows are scratch that each thread keeps for
+    its next call: 3 * d * 2^15 int64 entries, 7.5 MiB at order 750141
+    (d = 10). Every row sum stays below a small multiple of its modulus, so
+    it is reduced by one gather from a residue table (``_Residues``,
+    2 * sum(t_moduli) + 3 * sum(s_moduli) entries built at construction);
+    the pairing value of each component is reduced on its own first.
+    Component k of the pairing is zero outside the t rows of its block, so
+    it is contracted over those rows only, and against a length-1 operand as
+    one matrix-vector product.
 
     Each alpha_s is an automorphism of T, so all of them fit in one table of
     dT rows by |S| * |T| = order columns, in the smallest unsigned dtype that
@@ -439,8 +515,8 @@ class AsymmetricProductBrace(FiniteBrace):
         self._d = d
         # a t row is a sum of two coordinates; an s row is a sum of two
         # coordinates and one pairing value, each below its modulus
-        self._t_residues = _Residues(self._tm, 2)
-        self._s_residues = _Residues(self._sm, 3)
+        self._residues = _Residues(logical_moduli, np.repeat([2, 3], [dt, ds]))
+        self._moduli_column = logical_moduli[:, None]
         # component k of b is zero outside the t rows of its support: (k, rows,
         # form on them) for each nonzero component, and (rows, pairing on them)
         # for the union of the supports, which pairs a length-1 operand with
@@ -505,20 +581,27 @@ class AsymmetricProductBrace(FiniteBrace):
         """Indices of the (d, n) logical rows [t..., s...]."""
         return self._logical.encode(rows.T)
 
-    def _pair_into(self, s: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> None:
-        """Add b(t1, t2) to the s rows ``s``, each component reduced below its modulus first."""
+    def _pair_into(self, s: np.ndarray, t1: np.ndarray, t2: np.ndarray, scratch: np.ndarray):
+        """Add b(t1, t2) to the s rows ``s``, each component reduced below its modulus first.
+
+        ``scratch`` is (d, m) rows, m the longer operand length, that are
+        free until the call returns.
+        """
         # a single column is contracted with the pairing first; b is symmetric,
         # so that column may be moved to the left
         if t2.shape[1] == 1:
             t1, t2 = t2, t1
         if t1.shape[1] == 1:
             rows, pairing = self._pair_support
-            v = (pairing @ t1[rows, 0]).dot(t2[rows])
-            v %= self._s_residues.moduli
+            v = np.matmul(pairing @ t1[rows, 0], t2[rows], scratch[: self._sm.size])
+            v %= self._sm[:, None]
             s += v
             return
+        # a form covers at most dT < d rows, so the last row is free for the values
+        v = scratch[-1]
         for k, rows, form in self._forms:
-            v = np.einsum("in,in->n", form @ t1[rows], t2[rows])
+            products = np.matmul(form, t1[rows], scratch[: form.shape[0]])
+            np.einsum("in,in->n", products, t2[rows], out=v)
             v %= self._sm[k]
             s[k] += v
 
@@ -550,44 +633,45 @@ class AsymmetricProductBrace(FiniteBrace):
             table[:, lo * size : (lo + keys.size) * size] = images.transpose(1, 0, 2).reshape(dt, -1)
         return table
 
+    def _add_rows(self, x, y, acc, out):
+        dt = self._dt
+        # acc is x or y, so its s rows carry b(t1, t2) into the sum; out is
+        # free as scratch until it takes the reduced rows
+        self._pair_into(acc[dt:], x[:dt], y[:dt], out)
+        self._residues.reduce(np.add(x, y, acc), out)
+
+    def _neg_rows(self, x, _, __, out):
+        dt = self._dt
+        # -x as coordinates in (0, m]; b(-t, -t) = b(t, t)
+        np.subtract(self._moduli_column, x, x)
+        self._pair_into(x[dt:], x[:dt], x[:dt], out)
+        self._residues.reduce(x, out)
+
+    def _mul_rows(self, x, y, acc, out):
+        dt = self._dt
+        # alpha reads s1 and t2 before acc, which is x or y, is written
+        alpha = self._alpha(x[dt:], y[:dt])
+        np.add(x[dt:], y[dt:], acc[dt:])
+        np.add(x[:dt], alpha, acc[:dt])
+        self._residues.reduce(acc, out)
+
+    def _inv_rows(self, x, _, __, out):
+        self._residues.negate(x, out)
+        t = out[: self._dt]
+        # the key of -x is taken before the gather overwrites its t rows
+        t[...] = self._alpha(out[self._dt :], t)
+
     def _add(self, x, y):
-        t1, s1 = self._split(x)
-        t2, s2 = self._split(y)
-        t = t1 + t2
-        out = np.empty((self._d, t.shape[1]), dtype=np.int64)
-        self._t_residues.reduce(t, out[: self._dt])
-        s = s1 + s2
-        self._pair_into(s, t1, t2)
-        self._s_residues.reduce(s, out[self._dt :])
-        return self._join(out)
+        return _blockwise(self._logical, self._add_rows, x, y)
 
     def _neg(self, x):
-        t, s = self._split(x)
-        out = np.empty((self._d, x.size), dtype=np.int64)
-        self._t_residues.negate(t, out[: self._dt])
-        s_neg = self._s_residues.moduli - s
-        self._pair_into(s_neg, t, t)
-        self._s_residues.reduce(s_neg, out[self._dt :])
-        return self._join(out)
+        return _blockwise(self._logical, self._neg_rows, x)
 
     def _mul(self, x, y):
-        t1, s1 = self._split(x)
-        t2, s2 = self._split(y)
-        t = t1 + self._alpha(s1, t2)
-        out = np.empty((self._d, t.shape[1]), dtype=np.int64)
-        self._t_residues.reduce(t, out[: self._dt])
-        self._s_residues.reduce(s1 + s2, out[self._dt :])
-        return self._join(out)
+        return _blockwise(self._logical, self._mul_rows, x, y)
 
     def _inv(self, x):
-        t, s = self._split(x)
-        out = np.empty((self._d, x.size), dtype=np.int64)
-        t_out, s_out = out[: self._dt], out[self._dt :]
-        self._s_residues.negate(s, s_out)
-        self._t_residues.negate(t, t_out)
-        # the key of (s_out, t_out) is taken before the gather overwrites t_out
-        t_out[...] = self._alpha(s_out, t_out)
-        return self._join(out)
+        return _blockwise(self._logical, self._inv_rows, x)
 
     multiplicative_generators = _one_hot_generators
 
@@ -662,16 +746,18 @@ class SemidirectProductBrace(FiniteBrace):
     def _mul(self, x, y):
         a1, b1 = self._split(x)
         a2, b2 = self._split(y)
+        # B's kernel rejects B-parts outside its carrier before they index act
+        b = self.B.mul(b1, b2)
         if a2.size == 1 < a1.size:
             # act[b1, a2] takes at most |B| values here: hand each to A.mul as
             # one right operand, not as a copy per row
             a = np.empty_like(a1)
-            for b in np.unique(b1).tolist():
-                sel = b1 == b
-                a[sel] = self.A.mul(a1[sel], self.act[b, a2])
+            for part in np.flatnonzero(np.bincount(b1)).tolist():
+                sel = b1 == part
+                a[sel] = self.A.mul(a1[sel], self.act[part, a2])
         else:
             a = self.A.mul(a1, self.act[b1, a2])
-        return self._join(a, self.B.mul(b1, b2))
+        return self._join(a, b)
 
     def _inv(self, x):
         a, b = self._split(x)
@@ -981,7 +1067,7 @@ class IdealRecord:
     @classmethod
     def from_members(cls, B: FiniteBrace, members, two_sided: bool = True) -> "IdealRecord":
         """Record of a member set (or record) taken as given; verifies nothing."""
-        members = _as_members(members)
+        members, _ = _carrier_members(B, members)
         mask = np.zeros(B.order, dtype=bool)
         mask[members] = True
         return cls(
@@ -1077,24 +1163,28 @@ def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list[np.ndarray]:
     return [table for pair in zip(tables["lam"], tables["conj"]) for table in pair]
 
 
-def _as_members(obj) -> np.ndarray:
-    """Sorted distinct members of a record or an index array."""
-    members = np.sort(np.asarray(getattr(obj, "members", obj), dtype=np.int64), axis=None)
-    # a sort and an adjacent comparison: numpy's unique hashes, which is far slower on sorted input
-    keep = np.ones(members.size, dtype=bool)
-    np.not_equal(members[1:], members[:-1], out=keep[1:])
-    return members[keep]
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of ``values``, flattened.
+
+    A sort and an adjacent comparison: numpy's unique hashes, which is far
+    slower, most of all on sorted input.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
-def _outside_carrier(B: FiniteBrace, members: np.ndarray) -> bool:
-    """Whether sorted ``members`` reach outside 0..order-1."""
-    return members.size > 0 and (members[0] < 0 or members[-1] >= B.order)
+def _carrier_members(B: FiniteBrace, obj) -> tuple[np.ndarray, bool]:
+    """Sorted distinct members of a record or an index array, and whether all lie in 0..order-1."""
+    members = _sorted_distinct(np.asarray(getattr(obj, "members", obj), dtype=np.int64))
+    return members, not members.size or bool(members[0] >= 0 and members[-1] < B.order)
 
 
 def _is_closed(B: FiniteBrace, members, two_sided: bool) -> bool:
     """Whether ``members`` is an additive subgroup invariant under ``_ideal_maps``."""
-    members = _as_members(members)
-    if _outside_carrier(B, members):
+    members, inside = _carrier_members(B, members)
+    if not inside:
         return False
     span = _AdditiveSpan(B)
     span.insert_many(members)
@@ -1187,8 +1277,8 @@ def additive_generators(B: FiniteBrace, within=None) -> np.ndarray:
 
     Members of ``within`` outside the carrier raise ValueError.
     """
-    pool = B.elements() if within is None else _as_members(within)
-    if _outside_carrier(B, pool):
+    pool, inside = (B.elements(), True) if within is None else _carrier_members(B, within)
+    if not inside:
         raise ValueError(f"within has members outside the carrier of order {B.order}")
     return np.array(_AdditiveSpan(B).insert_many(pool) or [B.zero()], dtype=np.int64)
 
@@ -1210,7 +1300,7 @@ def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
 def _grow(B: FiniteBrace, mask: np.ndarray, frontier: np.ndarray, gens: np.ndarray) -> None:
     """Mark in ``mask`` every product of the marked ``frontier`` with a word in ``gens``."""
     while frontier.size:
-        prods = np.unique(B.mul(frontier[:, None], gens[None, :]).ravel())
+        prods = _sorted_distinct(B.mul(frontier[:, None], gens[None, :]))
         frontier = prods[~mask[prods]]
         mask[frontier] = True
 
@@ -1229,7 +1319,8 @@ def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optiona
     for x in pool.tolist():
         if not covered[x]:
             gens.append(int(x))
-            fresh = np.unique(B.mul(np.flatnonzero(covered), x))
+            # right translates of distinct elements are distinct
+            fresh = B.mul(np.flatnonzero(covered), x)
             fresh = fresh[~covered[fresh]]
             covered[fresh] = True
             _grow(B, covered, fresh, np.array(gens, dtype=np.int64))
@@ -1263,10 +1354,10 @@ def star_span(B: FiniteBrace, left, right) -> np.ndarray:
     cross-checked against the brute-force span in the test suite. Members
     outside the carrier raise ValueError.
     """
-    left = _as_members(left)
-    right = _as_members(right)
-    for name, factor in (("left", left), ("right", right)):
-        if _outside_carrier(B, factor):
+    left, left_inside = _carrier_members(B, left)
+    right, right_inside = _carrier_members(B, right)
+    for name, inside in (("left", left_inside), ("right", right_inside)):
+        if not inside:
             raise ValueError(f"{name} factor has members outside the carrier of order {B.order}")
     right_span = _AdditiveSpan(B)
     gens = np.array(right_span.insert_many(right) or [B.zero()], dtype=np.int64)
@@ -1308,8 +1399,8 @@ def is_prime_brace(
     """
     records = []
     for entry in lattice:
-        members = _as_members(entry)
-        if _outside_carrier(B, members):
+        members, inside = _carrier_members(B, entry)
+        if not inside:
             raise IncompleteLatticeError(
                 f"lattice entry has members outside the carrier of order {B.order}"
             )

@@ -7,6 +7,9 @@ twist on multiplication) before the implementation existed.
 
 import hashlib
 import math
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from bracekit.braces import (
     multiplicative_closure,
     star_span,
     tabulate,
+    _BLOCK,
     _AdditiveSpan,
     _MixedRadix,
     _check_triples,
@@ -503,6 +507,121 @@ def test_kernels_match_the_coordinate_reference_on_random_products(data):
     x = B.elements()
     singles = rng.integers(0, B.order, 2).tolist()
     _assert_kernels_match_reference(B, x, rng.permutation(B.order), singles)
+
+
+_BLOCK_LENGTHS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+
+
+def _trivial_reference(B, op, x, y=None):
+    # a product of cyclics on coordinates from the weights, reduced by %
+
+    def digits(idx):
+        return idx[:, None] // B.codec.weights % B.moduli
+
+    total = -digits(x) if op in ("neg", "inv") else digits(x) + digits(y)
+    return (total % B.moduli) @ B.codec.weights
+
+
+@pytest.mark.parametrize("length", _BLOCK_LENGTHS)
+def test_kernels_match_the_references_across_block_boundaries(length, cf72):
+    # operands shorter than, as long as, and longer than one block of
+    # columns, paired with length-1 operands on either side; no kernel
+    # writes to its operands
+    rng = np.random.default_rng(length)
+    trivial = TrivialBrace([4, 3, 2])
+    for B in (cf72, trivial):
+        x, y = rng.integers(0, B.order, (2, length))
+        singles = [0, B.order - 1]
+        kept = x.copy(), y.copy()
+        if B is cf72:
+            _assert_kernels_match_reference(B, x, y, singles)
+        else:
+            for g in singles:
+                one = np.array([g], dtype=np.int64)
+                for a, b in ((x, y), (one, y), (x, one)):
+                    a_full, b_full = np.broadcast_arrays(a, b)
+                    want = _trivial_reference(B, "add", a_full, b_full)
+                    assert np.array_equal(B.add(a, b), want)
+                    assert np.array_equal(B.mul(a, b), want)
+            assert np.array_equal(B.neg(x), _trivial_reference(B, "neg", x))
+            assert np.array_equal(B.inv(x), _trivial_reference(B, "inv", x))
+        assert np.array_equal(x, kept[0]) and np.array_equal(y, kept[1])
+
+
+@pytest.mark.parametrize("name", ["trivial", "cf72"])
+def test_kernels_name_an_index_outside_the_carrier_in_the_last_block(name, cf72):
+    B = cf72 if name == "cf72" else TrivialBrace([4, 3, 2])
+    good = np.arange(2 * _BLOCK + 3, dtype=np.int64) % B.order
+    for bad in (B.order, -1):
+        x = good.copy()
+        x[-2] = bad
+        calls = {
+            "add left": lambda: B.add(x, good),
+            "add right": lambda: B.add(good, x),
+            "mul left": lambda: B.mul(x, 1),
+            "mul right": lambda: B.mul(1, x),
+            "neg": lambda: B.neg(x),
+            "inv": lambda: B.inv(x),
+        }
+        for what, call in calls.items():
+            with pytest.raises(IndexError, match=rf"index {bad} outside"):
+                call()
+                pytest.fail(f"{what} returned")
+
+
+def test_threads_sharing_a_brace_get_their_own_results(cf72):
+    # the kernels' scratch rows are per thread: threads that interleave their
+    # blocks on one brace still get the single-threaded results
+    rng = np.random.default_rng(21)
+    operands = [rng.integers(0, cf72.order, (2, 2 * _BLOCK + 3)) for _ in range(4)]
+
+    def results(x, y):
+        return cf72.add(x, y), cf72.mul(x, y), cf72.neg(x), cf72.inv(x), cf72.mul(5, x)
+
+    want = [results(x, y) for x, y in operands]
+    failures = []
+
+    def work(i):
+        for _ in range(5):
+            if not all(np.array_equal(g, w) for g, w in zip(results(*operands[i]), want[i])):
+                failures.append(i)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(operands))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+@pytest.mark.parametrize("name", ["bulk750k", "trivial"])
+def test_kernel_calls_allocate_little_beyond_their_result(name, request):
+    # a call on 4 blocks of columns holds its result and temporaries of at
+    # most a few rows of one block, once a first call has sized this
+    # thread's scratch rows
+    B = request.getfixturevalue(name) if name == "bulk750k" else TrivialBrace([2**40, 3])
+    d = B.codec.moduli.size
+    rng = np.random.default_rng(22)
+    x, y = rng.integers(0, B.order, (2, 4 * _BLOCK))
+    g = int(B.multiplicative_generators()[-1])
+    calls = [("add", (x, y)), ("mul", (x, y)), ("add", (x, g)), ("mul", (g, x))]
+    for op, args in calls + [("neg", (x,)), ("inv", (x,))]:
+        kernel = getattr(B, op)
+        kernel(*args)
+        tracemalloc.start()
+        try:
+            got = kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + 2 * d * _BLOCK * 8, (op, peak)
 
 
 def test_trivial_brace_on_a_huge_cyclic_coordinate():
