@@ -364,7 +364,8 @@ def _blockwise(codec: _MixedRadix, step, x: np.ndarray, y: Optional[np.ndarray] 
     result rows into ``out``, which is encoded into its slice of the result,
     and may overwrite ``acc``, the rows of an operand that is walked
     (``x_rows`` unless only ``y`` is). So the result is the only array of
-    the operands' length that a call allocates.
+    the operands' length that a call allocates. A step must not call a
+    kernel itself: the nested call would reuse this thread's rows.
     """
     d = codec.moduli.size
     walk_x = y is None or x.size != 1 or y.size == 1
