@@ -24,10 +24,13 @@ Ideal computations work with generator sets throughout: a subset closed under
 lambda_g and conjugation by a set of multiplicative generators g is closed
 under the maps of every element (the maps compose multiplicatively in the
 subscript and are bijections of any finite invariant subset), so the
-fixpoints computed here agree with exhaustive definitions. The first ideal
+fixpoints computed here agree with exhaustive definitions. The argument
+needs only some generating set, so the maps are taken over a reduced one:
+the greedy picks from the multiplicative generators in reverse order
+(``_table_generators``; 5 instead of 14 at order 92160). The first ideal
 query on a brace tabulates those maps over the whole carrier, one int32
 array per generator and kind of map, and caches the tables on the brace
-(``_ideal_tables``, beside ``_mult_gens``); from then on closures, ideal
+(``_ideal_tables``, beside ``_ideal_gens``); from then on closures, ideal
 tests, orbit labels and the conjugates of ``groupinfo.derived_subgroup`` are
 gathers. Nothing else builds them, so braces that are only built, checked or
 used through the kernels never pay for them.
@@ -87,9 +90,12 @@ class FiniteBrace:
         self.order = int(order)
         self._axiom_report: Optional["AxiomReport"] = None
         self._mult_gens: Optional[np.ndarray] = None
-        # "lam" and "conj": (k, order) int32 images under the k multiplicative
-        # generators, filled by the first ideal query that needs them
+        # "lam" and "conj": (k, order) int32 images under the k generators in
+        # _ideal_gens, filled by the first ideal query that needs them
         self._ideal_tables: dict[str, np.ndarray] = {}
+        self._ideal_gens: Optional[np.ndarray] = None
+        # the last left factor star_span reduced: (member bytes, generators or None)
+        self._left_gens: Optional[tuple[bytes, Optional[np.ndarray]]] = None
 
     # subclasses implement these four on 1-d int64 arrays; the binary ones
     # take operands of equal length or of length 1, never mutate them, and
@@ -1011,7 +1017,9 @@ class _AdditiveSpan:
     ``insert`` adds a whole cyclic tower of cosets at once: for a new element
     x it walks x, 2x, 3x, ... and unions the coset H + kx for each step that
     lands outside the current subgroup H, which keeps the number of insert
-    calls logarithmic in the subgroup size. ``insert_many`` is the one greedy
+    calls logarithmic in the subgroup size. Each step is one kernel call: H
+    with x appended, plus kx, gives the coset and the next step's kx + x
+    together. ``insert_many`` is the one greedy
     walk over a pool of values: additive generators, star products, ideal
     closures and ideal tests all grow their spans through it.
     """
@@ -1030,14 +1038,18 @@ class _AdditiveSpan:
         return self._chunks[0]
 
     def insert(self, x: int) -> None:
-        base = self.members
         rep = x = int(x)
+        if self.mask[x]:
+            return
+        # H with x appended: one add gives the coset H + rep and, last, the next rep + x
+        base = np.append(self.members, x)
         while not self.mask[rep]:
-            coset = self.B.add(base, rep)
+            images = self.B.add(base, rep)
+            coset = images[:-1]
             self.mask[coset] = True
             self._chunks.append(coset)
             self.size += coset.size
-            rep = int(self.B.add(rep, x))
+            rep = int(images[-1])
 
     def insert_many(self, values: np.ndarray) -> list[int]:
         """Insert carrier indices ``values``; returns the ones picked, ascending.
@@ -1139,17 +1151,19 @@ def ideal_closure(
 def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list[np.ndarray]:
     """Tables of the maps an additive subgroup must be invariant under to be a (left) ideal.
 
-    For each multiplicative generator g: lambda_g and, when ``two_sided``,
-    x -> g x g^-1 right after it, each as an int32 array over the whole
-    carrier (the image of x is ``table[x]``). The first query that needs a
-    kind of table builds it through the kernels and caches it on the brace;
+    For each generator g of ``_table_generators``: lambda_g and, when
+    ``two_sided``, x -> g x g^-1 right after it, each as an int32 array over
+    the whole carrier (the image of x is ``table[x]``). Any set that
+    generates (B, mul) suffices, by the module docstring's argument, so the
+    tables cover a reduced one. The first query that needs a kind of table
+    builds it through the kernels and caches it on the brace;
     lambda_g(x) = g x - g and g x g^-1 share the product g x, and the
     generators are inverted in one call.
     """
     tables = B._ideal_tables
     missing = [kind for kind in ("lam", "conj")[: 1 + two_sided] if kind not in tables]
     if missing:
-        gens = B.multiplicative_generators().tolist()
+        gens = _table_generators(B).tolist()
         for kind in missing:
             tables[kind] = np.empty((len(gens), B.order), dtype=np.int32)
         inverses = B.inv(gens).tolist() if "conj" in missing else [None] * len(gens)
@@ -1162,6 +1176,21 @@ def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list[np.ndarray]:
     if not two_sided:
         return list(tables["lam"])
     return [table for pair in zip(tables["lam"], tables["conj"]) for table in pair]
+
+
+def _table_generators(B: FiniteBrace) -> np.ndarray:
+    """The generators of (B, mul) that ``_ideal_maps`` tabulates, found once per brace.
+
+    The greedy picks from ``multiplicative_generators()`` taken in reverse
+    order, which puts the heaviest one-hot coordinates of a codec carrier
+    first: their conjugates make many later one-hots redundant (at order
+    92160 it keeps 5 of the 14). The picks generate what the whole list
+    generates, since each skipped entry lies in the closure of earlier picks.
+    """
+    if B._ideal_gens is None:
+        pool = B.multiplicative_generators()[::-1]
+        B._ideal_gens = np.array(_greedy_generators(B, pool), dtype=np.int64)
+    return B._ideal_gens
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -1331,13 +1360,20 @@ def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optiona
 
 
 def _subgroup_generators(B: FiniteBrace, members: np.ndarray) -> Optional[np.ndarray]:
-    """Multiplicative generators of sorted ``members`` if they form a nontrivial subgroup, else None."""
+    """Multiplicative generators of sorted ``members`` if they form a nontrivial subgroup, else None.
+
+    The brace keeps the last proper member set asked about and its answer,
+    so a left factor that ``star_span`` meets again is not searched again.
+    """
     if members.size == B.order:
         return B.multiplicative_generators()
-    inside = np.zeros(B.order, dtype=bool)
-    inside[members] = True
-    found = _greedy_generators(B, members, inside) if inside[B.zero()] else None
-    return np.array(found, dtype=np.int64) if found else None
+    key = members.tobytes()
+    if B._left_gens is None or B._left_gens[0] != key:
+        inside = np.zeros(B.order, dtype=bool)
+        inside[members] = True
+        found = _greedy_generators(B, members, inside) if inside[B.zero()] else None
+        B._left_gens = (key, np.array(found, dtype=np.int64) if found else None)
+    return B._left_gens[1]
 
 
 def star_span(B: FiniteBrace, left, right) -> np.ndarray:
@@ -1349,8 +1385,9 @@ def star_span(B: FiniteBrace, left, right) -> np.ndarray:
     lambda_s for every s in S, the identity (a.b)*c = a*lambda_b(c) + b*c
     reduces the left factor to S too, and the result is span{s*g}. Both
     conditions are checked here: S is found greedily (the cached generators
-    when ``left`` is the whole carrier), giving up as soon as a closure
-    leaves ``left``, and every lambda_s(g) must lie in span(``right``).
+    when ``left`` is the whole carrier, the kept ones when it is the last
+    proper left factor), giving up as soon as a closure leaves ``left``, and
+    every lambda_s(g) must lie in span(``right``).
     Otherwise every a in ``left`` is multiplied against G. Both paths are
     cross-checked against the brute-force span in the test suite. Members
     outside the carrier raise ValueError.

@@ -46,6 +46,7 @@ from bracekit.braces import (
     _ideal_maps,
     _orbit_labels,
     _subgroup_generators,
+    _table_generators,
 )
 from bracekit.construct import build_family, build_prime_example, load_spec, parse_spec
 from bracekit.errors import (
@@ -1137,7 +1138,7 @@ def test_ideal_tables_match_kernels(case, first, request):
     B = _TABLE_CASES[case](request)  # a fresh brace: no table is built yet
     assert B._ideal_tables == {}
     every = B.elements()
-    gens = B.multiplicative_generators().tolist()
+    gens = _table_generators(B).tolist()
     lam = [B.lam(g, every) for g in gens]
     conj = [B.mul(B.mul(g, every), B.inv(g)) for g in gens]
     if first == "left":
@@ -1182,6 +1183,24 @@ def test_ideal_tables_only_built_by_ideal_queries(sd6):
         assert B._ideal_tables == {}
         assert is_left_ideal(B, every) and list(B._ideal_tables) == ["lam"]
         assert is_ideal(B, every) and sorted(B._ideal_tables) == ["conj", "lam"]
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_table_generators_generate_the_multiplicative_group(case, request):
+    B = _TABLE_CASES[case](request)
+    gens = _table_generators(B)
+    assert np.isin(gens, B.multiplicative_generators()).all()
+    assert np.array_equal(multiplicative_closure(B, gens), B.elements())
+
+
+def test_prime_example_tables_cover_five_generators():
+    B = build_prime_example()
+    gens = _table_generators(B)
+    assert gens.tolist() == [18432, 6144, 2048, 1024, 512]  # of 14 multiplicative generators
+    assert np.isin(gens, B.multiplicative_generators()).all()
+    assert np.array_equal(multiplicative_closure(B, gens), B.elements())
+    assert len(_ideal_maps(B, two_sided=True)) == 10
+    assert _table_generators(B) is gens  # found once, beside the tables
 
 
 def _brute_star_span(B, left, right):
@@ -1234,6 +1253,63 @@ def test_star_span_general_path_matches_brute_force(case, request):
         cases += [(every, right), (sub, right)]
     for left, right in cases:
         assert np.array_equal(star_span(B, left, right), _brute_star_span(B, left, right))
+
+
+def _count_greedy_searches(monkeypatch) -> list:
+    """Record the pool size of every ``_greedy_generators`` call from here on."""
+    searched = []
+    greedy = bracekit.braces._greedy_generators
+
+    def counted(B, pool, inside=None):
+        searched.append(len(pool))
+        return greedy(B, pool, inside)
+
+    monkeypatch.setattr(bracekit.braces, "_greedy_generators", counted)
+    return searched
+
+
+def test_star_span_finds_a_left_factors_generators_once(request, monkeypatch):
+    B = _TABLE_CASES["ns216"](request)
+    every = B.elements()
+    A = next(r for r in list_ideals(B) if 1 < r.size < B.order).members
+    sub = multiplicative_closure(B, [1, 72])
+    assert 1 < sub.size < B.order and not np.array_equal(sub, A)
+    searched = _count_greedy_searches(monkeypatch)
+    for right in (A, every, A):
+        assert np.array_equal(star_span(B, A, right), _brute_star_span(B, A, right))
+    assert searched == [A.size]
+    # a different left factor afterwards is searched and spans correctly, and so is A again
+    for left in (sub, A):
+        for right in (A, every):
+            assert np.array_equal(star_span(B, left, right), _brute_star_span(B, left, right))
+    assert searched == [A.size, sub.size, A.size]
+
+
+def test_star_span_keeps_the_general_path_for_a_left_factor_that_is_not_a_subgroup(
+    request, monkeypatch
+):
+    B = _TABLE_CASES["cf72"](request)  # a fresh brace whose star can be counted
+    rng = np.random.default_rng(5)
+    # zero and 20 more elements: not a subgroup of the order-72 group, so the search gives up
+    left = np.union1d([B.zero()], rng.choice(np.arange(1, B.order), size=20, replace=False))
+    every = B.elements()
+    want = _brute_star_span(B, left, every)
+    stars = []
+    star = B.star
+
+    def counted(a, b):
+        stars.append(b)
+        return star(a, b)
+
+    B.star = counted
+    searched = _count_greedy_searches(monkeypatch)
+    for _ in range(2):
+        stars.clear()
+        assert np.array_equal(star_span(B, left, every), want)
+        assert _subgroup_generators(B, left) is None
+        # the general path multiplies the left factor by each additive generator
+        assert stars == additive_generators(B).tolist()
+    assert searched == [left.size]
 
 
 def test_star_span_spans_a_right_factor_that_is_not_a_subgroup(cf72):
@@ -1322,6 +1398,53 @@ def test_insert_many_matches_the_per_value_walk(case, request):
                 assert got.insert_many(values) == _insert_many_per_value(want, values)
                 assert got.size == want.size and np.array_equal(got.mask, want.mask)
                 assert np.array_equal(np.sort(got.members), np.sort(want.members))
+
+
+def _additive_closure_by_sums(B, values):
+    """Reference: zero and ``values``, closed under pairwise sums until nothing new appears."""
+    members = np.unique(np.append(np.asarray(values, dtype=np.int64), B.zero()))
+    while True:
+        sums = np.union1d(members, B.add(members[:, None], members[None, :]))
+        if sums.size == members.size:
+            return members
+        members = sums
+
+
+@pytest.mark.parametrize("case", ["asym9", "sd6", "cf72", "ns216"])
+def test_insert_matches_the_closure_by_pairwise_sums(case, request):
+    B = request.getfixturevalue(case)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        span, inserted = _AdditiveSpan(B), []
+        for x in rng.integers(0, B.order, size=4).tolist():
+            # a fresh value, then one the span already holds, which changes nothing
+            for value in (x, int(rng.choice(span.members))):
+                inserted.append(value)
+                span.insert(value)
+                want = _additive_closure_by_sums(B, inserted)
+                members = np.sort(span.members)
+                assert span.size == members.size and np.array_equal(members, want)
+                assert np.array_equal(np.flatnonzero(span.mask), want)
+
+
+def test_insert_makes_one_add_call_per_coset(cf72):
+    B = build_family(load_spec(SPECS / "cf72.json"))  # a fresh brace whose _add can be counted
+    calls = []
+    kernel = B._add
+
+    def counted(x, y):
+        calls.append(x.size)
+        return kernel(x, y)
+
+    B._add = counted
+    span = _AdditiveSpan(B)
+    # the pinned additive generators of cf72, with 1 again once the span holds it
+    for x in (1, 2, 3, 1, 8, 16):
+        before, calls[:] = span.size, []
+        span.insert(x)
+        cosets = span.size // before - 1  # each step of the tower adds one coset of H
+        assert calls == [before + 1] * cosets  # H with x appended, in one call per coset
+    assert span.size == cf72.order and np.array_equal(np.sort(span.members), cf72.elements())
 
 
 def _is_ideal_by_definition(B, members, two_sided):
