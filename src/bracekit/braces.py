@@ -1367,13 +1367,13 @@ def _subgroup_generators(B: FiniteBrace, members: np.ndarray) -> Optional[np.nda
     """
     if members.size == B.order:
         return B.multiplicative_generators()
-    key = members.tobytes()
-    if B._left_gens is None or B._left_gens[0] != key:
+    key, kept = members.tobytes(), B._left_gens
+    if kept is None or kept[0] != key:
         inside = np.zeros(B.order, dtype=bool)
         inside[members] = True
         found = _greedy_generators(B, members, inside) if inside[B.zero()] else None
-        B._left_gens = (key, np.array(found, dtype=np.int64) if found else None)
-    return B._left_gens[1]
+        kept = B._left_gens = (key, np.array(found, dtype=np.int64) if found else None)
+    return kept[1]
 
 
 def star_span(B: FiniteBrace, left, right) -> np.ndarray:

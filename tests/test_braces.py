@@ -1285,6 +1285,35 @@ def test_star_span_finds_a_left_factors_generators_once(request, monkeypatch):
     assert searched == [A.size, sub.size, A.size]
 
 
+def test_threads_sharing_the_left_factor_memo_get_their_own_generators(request):
+    # threads that replace each other's kept left factor still get the answer for their own
+    B = _TABLE_CASES["ns216"](request)
+    A = next(r for r in list_ideals(B) if 1 < r.size < B.order).members
+    lefts = [A, multiplicative_closure(B, [1, 72]), multiplicative_closure(B, [24]), A[:-1]]
+    want = [_subgroup_generators(B, left) for left in lefts]
+    assert want[-1] is None
+    failures = []
+
+    def work(i):
+        for _ in range(30):
+            if not np.array_equal(_subgroup_generators(B, lefts[i]), want[i]):  # None too
+                failures.append(i)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(lefts))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
 def test_star_span_keeps_the_general_path_for_a_left_factor_that_is_not_a_subgroup(
     request, monkeypatch
 ):
