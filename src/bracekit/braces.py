@@ -26,14 +26,14 @@ under the maps of every element (the maps compose multiplicatively in the
 subscript and are bijections of any finite invariant subset), so the
 fixpoints computed here agree with exhaustive definitions. The argument
 needs only some generating set, so the maps are taken over a reduced one:
-the greedy picks from the multiplicative generators in reverse order
-(``_table_generators``; 5 instead of 14 at order 92160). The first ideal
-query on a brace tabulates those maps over the whole carrier, one int32
-array per generator and kind of map, and caches the tables on the brace
-(``_ideal_tables``, beside ``_ideal_gens``); from then on closures, ideal
-tests, orbit labels and the conjugates of ``groupinfo.derived_subgroup`` are
-gathers. Nothing else builds them, so braces that are only built, checked or
-used through the kernels never pay for them.
+the greedy picks from the multiplicative generators in reverse order (5
+instead of 14 at order 92160). The first ideal query finds the picks and
+tabulates both maps of each in one pass (``_ideal_maps``), and assigns the
+picks and the tables to the brace's ``_ideal_tables`` once, when complete,
+so several threads may make that query on one brace. From then on closures,
+ideal tests, orbit labels and the conjugates of ``groupinfo.derived_subgroup``
+are gathers. Nothing else builds them, so braces that are only built, checked
+or used through the kernels never pay for them.
 
 Star products use the identity (a.b)*c = a*lambda_b(c) + b*c: when the left
 factor is the multiplicative subgroup generated by S and the additive span
@@ -90,10 +90,9 @@ class FiniteBrace:
         self.order = int(order)
         self._axiom_report: Optional["AxiomReport"] = None
         self._mult_gens: Optional[np.ndarray] = None
-        # "lam" and "conj": (k, order) int32 images under the k generators in
-        # _ideal_gens, filled by the first ideal query that needs them
-        self._ideal_tables: dict[str, np.ndarray] = {}
-        self._ideal_gens: Optional[np.ndarray] = None
+        # (generators, (2k, order) int32 tables of lambda_g and conjugation by g),
+        # assigned once by the first ideal query
+        self._ideal_tables: Optional[tuple[np.ndarray, np.ndarray]] = None
         # the last left factor star_span reduced: (member bytes, generators or None)
         self._left_gens: Optional[tuple[bytes, Optional[np.ndarray]]] = None
 
@@ -172,7 +171,7 @@ class FiniteBrace:
     def multiplicative_generators(self) -> np.ndarray:
         """A generating set of the multiplicative group (greedy, cached)."""
         if self._mult_gens is None:
-            self._mult_gens = np.array(_greedy_generators(self, self.elements()), dtype=np.int64)
+            self._mult_gens = np.array(_greedy_generators(self, self.elements())[0], dtype=np.int64)
         return self._mult_gens
 
     def __repr__(self) -> str:
@@ -322,10 +321,8 @@ def _one_hot_generators(self) -> np.ndarray:
     (t, 0)(0, s) = (t, s) and each factor's one-hots generate that factor.
     """
     if self._mult_gens is None:
-        keep = self.codec.moduli > 1
-        self._mult_gens = self.codec.weights[keep].copy()
-        if self._mult_gens.size == 0:
-            self._mult_gens = np.array([0], dtype=np.int64)
+        gens = self.codec.weights[self.codec.moduli > 1]
+        self._mult_gens = gens if gens.size else np.array([0], dtype=np.int64)
     return self._mult_gens
 
 
@@ -775,7 +772,7 @@ class SemidirectProductBrace(FiniteBrace):
         if self._mult_gens is None:
             a_part = self.A.multiplicative_generators()
             b_part = self.A.order * self.B.multiplicative_generators()
-            self._mult_gens = np.unique(np.concatenate([a_part, b_part]))
+            self._mult_gens = _sorted_distinct(np.concatenate([a_part, b_part]))
         return self._mult_gens
 
 
@@ -1148,49 +1145,47 @@ def ideal_closure(
     return _record_from_span(span, seed_arr, two_sided)
 
 
-def _ideal_maps(B: FiniteBrace, two_sided: bool) -> list[np.ndarray]:
+def _ideal_maps(B: FiniteBrace, two_sided: bool) -> np.ndarray:
     """Tables of the maps an additive subgroup must be invariant under to be a (left) ideal.
 
-    For each generator g of ``_table_generators``: lambda_g and, when
-    ``two_sided``, x -> g x g^-1 right after it, each as an int32 array over
-    the whole carrier (the image of x is ``table[x]``). Any set that
-    generates (B, mul) suffices, by the module docstring's argument, so the
-    tables cover a reduced one. The first query that needs a kind of table
-    builds it through the kernels and caches it on the brace;
-    lambda_g(x) = g x - g and g x g^-1 share the product g x, and the
-    generators are inverted in one call.
+    Rows of one int32 array over the whole carrier (the image of x is
+    ``table[x]``): lambda_g, then x -> g x g^-1 when ``two_sided``, for each
+    greedy pick g from ``multiplicative_generators()`` in reverse order (5 of
+    14 at order 92160); any generating set suffices, by the module docstring.
+    A pick's row L_g = g x is one kernel call, the picks' subgroup is closed
+    under the kept rows by gathers, and lambda_g = L_g - g, g x g^-1 = L_g g^-1.
+    The cache is assigned once, complete, so threads may share a brace.
     """
-    tables = B._ideal_tables
-    missing = [kind for kind in ("lam", "conj")[: 1 + two_sided] if kind not in tables]
-    if missing:
-        gens = _table_generators(B).tolist()
-        for kind in missing:
-            tables[kind] = np.empty((len(gens), B.order), dtype=np.int32)
-        inverses = B.inv(gens).tolist() if "conj" in missing else [None] * len(gens)
-        for i, (g, gi) in enumerate(zip(gens, inverses)):
-            left = B.mul(g, B.elements())
-            if "lam" in missing:
-                tables["lam"][i] = B.sub(left, g)
-            if "conj" in missing:
-                tables["conj"][i] = B.mul(left, gi)
-    if not two_sided:
-        return list(tables["lam"])
-    return [table for pair in zip(tables["lam"], tables["conj"]) for table in pair]
+    built = B._ideal_tables
+    if built is None:
+        every = B.elements()
+        covered = np.zeros(B.order, dtype=bool)
+        covered[B.zero()] = True
+        gens: list[int] = []
+        lefts: list[np.ndarray] = []
+        for g in B.multiplicative_generators()[::-1].tolist():
+            if not covered[g]:
+                gens.append(g)
+                lefts.append(B.mul(g, every).astype(np.int32))
+                # left translates of distinct elements are distinct
+                fresh = lefts[-1][covered]
+                fresh = fresh[~covered[fresh]]
+                covered[fresh] = True
+                _close(covered, fresh, lefts)
+        tables = np.empty((2 * len(gens), B.order), dtype=np.int32)
+        for i, (g, gi, left) in enumerate(zip(gens, B.inv(gens).tolist(), lefts)):
+            tables[2 * i] = B.sub(left, g)
+            tables[2 * i + 1] = B.mul(left, gi)
+        built = B._ideal_tables = (np.array(gens, dtype=np.int64), tables)
+    return built[1] if two_sided else built[1][::2]
 
 
-def _table_generators(B: FiniteBrace) -> np.ndarray:
-    """The generators of (B, mul) that ``_ideal_maps`` tabulates, found once per brace.
-
-    The greedy picks from ``multiplicative_generators()`` taken in reverse
-    order, which puts the heaviest one-hot coordinates of a codec carrier
-    first: their conjugates make many later one-hots redundant (at order
-    92160 it keeps 5 of the 14). The picks generate what the whole list
-    generates, since each skipped entry lies in the closure of earlier picks.
-    """
-    if B._ideal_gens is None:
-        pool = B.multiplicative_generators()[::-1]
-        B._ideal_gens = np.array(_greedy_generators(B, pool), dtype=np.int64)
-    return B._ideal_gens
+def _close(mask: np.ndarray, frontier: np.ndarray, tables) -> None:
+    """Mark in ``mask`` each image of the marked ``frontier`` under words in ``tables``."""
+    while frontier.size and len(tables):
+        images = _sorted_distinct(np.concatenate([table[frontier] for table in tables]))
+        frontier = images[~mask[images]]
+        mask[frontier] = True
 
 
 def _sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -1319,7 +1314,7 @@ def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
     Breadth-first right multiplication from the identity; in a finite group
     closure under the generators alone already yields inverses.
     """
-    gen_arr = np.unique(np.asarray(list(gens), dtype=np.int64))
+    gen_arr = _sorted_distinct(np.asarray(list(gens), dtype=np.int64))
     mask = np.zeros(B.order, dtype=bool)
     mask[B.zero()] = True
     if gen_arr.size:
@@ -1335,8 +1330,8 @@ def _grow(B: FiniteBrace, mask: np.ndarray, frontier: np.ndarray, gens: np.ndarr
         mask[frontier] = True
 
 
-def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optional[list[int]]:
-    """Greedy generating set of the multiplicative subgroup spanned by ``pool``.
+def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optional[tuple]:
+    """Greedy generating set of the multiplicative subgroup spanned by ``pool``, and its mask.
 
     Each entry of ``pool`` outside the closure H of the earlier picks is
     picked. The closure grows from H: <H, x> is H times the words in the
@@ -1356,7 +1351,7 @@ def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optiona
             _grow(B, covered, fresh, np.array(gens, dtype=np.int64))
             if inside is not None and not inside[covered].all():
                 return None
-    return gens
+    return gens, covered
 
 
 def _subgroup_generators(B: FiniteBrace, members: np.ndarray) -> Optional[np.ndarray]:
@@ -1372,7 +1367,8 @@ def _subgroup_generators(B: FiniteBrace, members: np.ndarray) -> Optional[np.nda
         inside = np.zeros(B.order, dtype=bool)
         inside[members] = True
         found = _greedy_generators(B, members, inside) if inside[B.zero()] else None
-        kept = B._left_gens = (key, np.array(found, dtype=np.int64) if found else None)
+        picks = found[0] if found else []
+        kept = B._left_gens = (key, np.array(picks, dtype=np.int64) if picks else None)
     return kept[1]
 
 

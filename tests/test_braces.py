@@ -43,10 +43,10 @@ from bracekit.braces import (
     _AdditiveSpan,
     _MixedRadix,
     _check_triples,
+    _greedy_generators,
     _ideal_maps,
     _orbit_labels,
     _subgroup_generators,
-    _table_generators,
 )
 from bracekit.construct import build_family, build_prime_example, load_spec, parse_spec
 from bracekit.errors import (
@@ -1136,22 +1136,19 @@ _TABLE_CASES = {
 @pytest.mark.parametrize("case", list(_TABLE_CASES))
 def test_ideal_tables_match_kernels(case, first, request):
     B = _TABLE_CASES[case](request)  # a fresh brace: no table is built yet
-    assert B._ideal_tables == {}
+    assert B._ideal_tables is None
+    first_tables = _ideal_maps(B, two_sided=first == "two_sided")
+    gens, tables = B._ideal_tables  # a left query builds both kinds too
     every = B.elements()
-    gens = _table_generators(B).tolist()
-    lam = [B.lam(g, every) for g in gens]
-    conj = [B.mul(B.mul(g, every), B.inv(g)) for g in gens]
-    if first == "left":
-        tables = _ideal_maps(B, two_sided=False)
-        assert list(B._ideal_tables) == ["lam"]  # lambda queries build no conjugation
-        assert len(tables) == len(gens)
-        assert all(t.dtype == np.int32 and np.array_equal(t, want) for t, want in zip(tables, lam))
-    tables = _ideal_maps(B, two_sided=True)
-    assert sorted(B._ideal_tables) == ["conj", "lam"]
-    assert len(tables) == 2 * len(gens)
+    lam = [B.lam(g, every) for g in gens.tolist()]
+    conj = [B.mul(B.mul(g, every), B.inv(g)) for g in gens.tolist()]
+    assert tables.dtype == np.int32 and tables.shape == (2 * len(gens), B.order)
     for got, want in zip(tables, [t for pair in zip(lam, conj) for t in pair]):
-        assert got.dtype == np.int32 and np.array_equal(got, want)
-    assert all(np.array_equal(t, want) for t, want in zip(_ideal_maps(B, False), lam))
+        assert np.array_equal(got, want)
+    assert np.array_equal(first_tables, tables if first == "two_sided" else tables[::2])
+    assert np.array_equal(_ideal_maps(B, two_sided=False), tables[::2])
+    assert _ideal_maps(B, two_sided=True) is tables
+    assert B._ideal_tables[0] is gens  # built once
 
 
 @pytest.mark.parametrize("spec", ["cf72", "ns216"])
@@ -1172,7 +1169,7 @@ def test_ideal_tables_only_built_by_ideal_queries(sd6):
         TrivialBrace([2, 3]),
     ]
     for B in fresh:
-        assert B._ideal_tables == {}
+        assert B._ideal_tables is None
         check_axioms(B)
         check_axioms(B, mode="sampled", trials=100)
         every = B.elements()
@@ -1180,27 +1177,94 @@ def test_ideal_tables_only_built_by_ideal_queries(sd6):
             getattr(B, op)(every[:, None], every[None, :])
         B.neg(every), B.inv(every), B.multiplicative_generators()
         additive_generators(B)
-        assert B._ideal_tables == {}
-        assert is_left_ideal(B, every) and list(B._ideal_tables) == ["lam"]
-        assert is_ideal(B, every) and sorted(B._ideal_tables) == ["conj", "lam"]
+        assert B._ideal_tables is None
+        assert is_left_ideal(B, every)
+        built = B._ideal_tables
+        assert built[1].dtype == np.int32 and len(built[1]) == 2 * len(built[0])
+        assert is_ideal(B, every) and B._ideal_tables is built
 
 
 @pytest.mark.parametrize("case", list(_TABLE_CASES))
 def test_table_generators_generate_the_multiplicative_group(case, request):
     B = _TABLE_CASES[case](request)
-    gens = _table_generators(B)
+    _ideal_maps(B, two_sided=True)
+    gens = B._ideal_tables[0]
+    # the gather walk picks what the kernel walk picks
+    assert gens.tolist() == _greedy_generators(B, B.multiplicative_generators()[::-1])[0]
     assert np.isin(gens, B.multiplicative_generators()).all()
     assert np.array_equal(multiplicative_closure(B, gens), B.elements())
+
+
+def _count_kernel_calls(B) -> Counter:
+    """Count the calls of B's own mul and inv kernels from here on."""
+    calls = Counter()
+    for name in ("_mul", "_inv"):
+
+        def counted(*args, kernel=getattr(B, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        setattr(B, name, counted)
+    return calls
+
+
+def _assert_one_mul_per_map(B):
+    B.multiplicative_generators()  # cached before counting
+    calls = _count_kernel_calls(B)
+    tables = _ideal_maps(B, two_sided=True)
+    k = len(tables) // 2
+    # one L_g row per pick, one conjugation row per pick, one inversion of the picks
+    assert calls == {"_mul": 2 * k, "_inv": 1}
+    return tables
+
+
+@pytest.mark.parametrize("case", list(_TABLE_CASES))
+def test_ideal_tables_take_two_mul_calls_per_generator_and_one_inv(case, request):
+    _assert_one_mul_per_map(_TABLE_CASES[case](request))
 
 
 def test_prime_example_tables_cover_five_generators():
     B = build_prime_example()
-    gens = _table_generators(B)
+    tables = _assert_one_mul_per_map(B)
+    gens = B._ideal_tables[0]
     assert gens.tolist() == [18432, 6144, 2048, 1024, 512]  # of 14 multiplicative generators
     assert np.isin(gens, B.multiplicative_generators()).all()
     assert np.array_equal(multiplicative_closure(B, gens), B.elements())
-    assert len(_ideal_maps(B, two_sided=True)) == 10
-    assert _table_generators(B) is gens  # found once, beside the tables
+    assert len(tables) == 10 and tables.dtype == np.int32
+    assert _ideal_maps(B, two_sided=True) is tables and B._ideal_tables[0] is gens  # built once
+
+
+def test_threads_making_the_first_ideal_query_on_a_brace_agree_with_one_thread(request):
+    # the cache is assigned once, complete: no thread sees tables that another is still filling
+    ref = _TABLE_CASES["ns216"](request)
+    A = next(r for r in list_ideals(ref) if 1 < r.size < ref.order).members
+    seeds = [1, 24, 48, int(A[1])]
+    want = [(ideal_closure(ref, [x]).members, is_ideal(ref, A), is_ideal(ref, A[:-1])) for x in seeds]
+    failures = []
+
+    def work(B, i):
+        try:
+            got = (ideal_closure(B, [seeds[i]]).members, is_ideal(B, A), is_ideal(B, A[:-1]))
+        except Exception as exc:  # a half-built table can index outside the carrier
+            failures.append(repr(exc))
+            return
+        if not (np.array_equal(got[0], want[i][0]) and got[1:] == want[i][1:]):
+            failures.append((i, got[0].size))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            B = _TABLE_CASES["ns216"](request)  # fresh: the threads make its first ideal query
+            threads = [threading.Thread(target=work, args=(B, i)) for i in range(len(seeds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert failures == []
 
 
 def _brute_star_span(B, left, right):

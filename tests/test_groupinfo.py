@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bracekit.groupinfo as groupinfo
 from bracekit.braces import SemidirectProductBrace, TrivialBrace
 from bracekit.construct import build_family, load_spec, parse_spec
 from bracekit.errors import BudgetExceededError
@@ -84,6 +85,32 @@ def test_derived_trivial_brace_is_identity():
     assert is_abelian(B)
     assert is_metabelian(B)
     assert is_A_group(B)
+
+
+def test_one_element_brace_has_trivial_group_structure():
+    B = TrivialBrace([1])
+    assert B.multiplicative_generators().tolist() == [0]
+    assert derived_subgroup(B).tolist() == [0]  # no conjugation table to close the orbit under
+    report = group_report(B)
+    assert report.derived_size == 1 and report.is_abelian and report.is_metabelian
+    assert is_metabelian(B)
+
+
+@pytest.mark.parametrize("query", [derived_subgroup, is_metabelian])
+def test_derived_subgroup_is_searched_once(query, cf72, sd6, monkeypatch):
+    # the greedy search closes the subgroup and its picks decide commutation
+    searched = []
+    greedy = groupinfo._greedy_generators
+
+    def counted(B, pool, inside=None):
+        searched.append(len(pool))
+        return greedy(B, pool, inside)
+
+    monkeypatch.setattr(groupinfo, "_greedy_generators", counted)
+    for B in (cf72, sd6):
+        searched.clear()
+        query(B)
+        assert len(searched) == 1
 
 
 def test_abelian_and_metabelian_flags(cf72, sd6):
