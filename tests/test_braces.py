@@ -1208,7 +1208,7 @@ def _count_kernel_calls(B) -> Counter:
     return calls
 
 
-def _assert_one_mul_per_map(B):
+def _assert_two_mul_calls_per_pick(B):
     B.multiplicative_generators()  # cached before counting
     calls = _count_kernel_calls(B)
     tables = _ideal_maps(B, two_sided=True)
@@ -1220,12 +1220,12 @@ def _assert_one_mul_per_map(B):
 
 @pytest.mark.parametrize("case", list(_TABLE_CASES))
 def test_ideal_tables_take_two_mul_calls_per_generator_and_one_inv(case, request):
-    _assert_one_mul_per_map(_TABLE_CASES[case](request))
+    _assert_two_mul_calls_per_pick(_TABLE_CASES[case](request))
 
 
 def test_prime_example_tables_cover_five_generators():
     B = build_prime_example()
-    tables = _assert_one_mul_per_map(B)
+    tables = _assert_two_mul_calls_per_pick(B)
     gens = B._ideal_tables[0]
     assert gens.tolist() == [18432, 6144, 2048, 1024, 512]  # of 14 multiplicative generators
     assert np.isin(gens, B.multiplicative_generators()).all()
