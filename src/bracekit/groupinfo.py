@@ -42,13 +42,14 @@ __all__ = [
 ]
 
 
-def _derived(B: FiniteBrace, budget: int) -> tuple[np.ndarray, list[int]]:
-    """Sorted members of the derived subgroup of (B, mul), and greedy generators of it.
+def derived_subgroup(B: FiniteBrace, budget: int = 1_000_000) -> np.ndarray:
+    """Sorted members of the derived subgroup of (B, mul).
 
     The derived subgroup is generated by the conjugates of the commutators
     of the multiplicative generators. Those conjugates are the orbit of the
     commutators under the conjugation tables of ``_ideal_maps``, and the
-    subgroup is closed once, by the greedy search for generators of that orbit.
+    subgroup is the mask that the greedy search for generators of that
+    orbit closes.
     """
     if B.order > budget:
         raise BudgetExceededError(f"carrier of size {B.order} exceeds the budget of {budget}")
@@ -61,13 +62,7 @@ def _derived(B: FiniteBrace, budget: int) -> tuple[np.ndarray, list[int]]:
     frontier = _sorted_distinct(commutators)
     orbit[frontier] = True
     _close(orbit, frontier, _ideal_maps(B, two_sided=True)[1::2])
-    picks, subgroup = _greedy_generators(B, np.flatnonzero(orbit))
-    return np.flatnonzero(subgroup), picks
-
-
-def derived_subgroup(B: FiniteBrace, budget: int = 1_000_000) -> np.ndarray:
-    """Sorted members of the derived subgroup of (B, mul)."""
-    return _derived(B, budget)[0]
+    return np.flatnonzero(_greedy_generators(B, np.flatnonzero(orbit))[1])
 
 
 def _pairwise_commuting(B: FiniteBrace, xs) -> bool:
@@ -100,7 +95,7 @@ def _is_abelian_subgroup(B: FiniteBrace, members) -> bool:
 
 def is_metabelian(B: FiniteBrace, budget: int = 1_000_000) -> bool:
     """True when the derived subgroup of (B, mul) is abelian."""
-    return _pairwise_commuting(B, _derived(B, budget)[1])
+    return _is_abelian_subgroup(B, derived_subgroup(B, budget=budget))
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -191,7 +186,6 @@ class GroupReport:
 
 
 def group_report(B: FiniteBrace, budget: int = 1_000_000) -> GroupReport:
-    # through the public name, which perfbench's traced cli_small runs time under analyze
     derived = derived_subgroup(B, budget=budget)
     sylow = _verified_sylow_records(B)
     return GroupReport(

@@ -96,9 +96,8 @@ def test_one_element_brace_has_trivial_group_structure():
     assert is_metabelian(B)
 
 
-@pytest.mark.parametrize("query", [derived_subgroup, is_metabelian])
-def test_derived_subgroup_is_searched_once(query, cf72, sd6, monkeypatch):
-    # the greedy search closes the subgroup and its picks decide commutation
+def test_derived_subgroup_is_searched_once(cf72, sd6, monkeypatch):
+    # the greedy search for generators closes the subgroup; no second closure follows
     searched = []
     greedy = groupinfo._greedy_generators
 
@@ -106,10 +105,14 @@ def test_derived_subgroup_is_searched_once(query, cf72, sd6, monkeypatch):
         searched.append(len(pool))
         return greedy(B, pool, inside)
 
+    def closed_again(*args, **kwargs):
+        raise AssertionError("the derived subgroup was closed a second time")
+
     monkeypatch.setattr(groupinfo, "_greedy_generators", counted)
+    monkeypatch.setattr(groupinfo, "multiplicative_closure", closed_again)
     for B in (cf72, sd6):
         searched.clear()
-        query(B)
+        derived_subgroup(B)
         assert len(searched) == 1
 
 
