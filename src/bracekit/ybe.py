@@ -3,7 +3,10 @@
 The canonical solution attached to a brace is r(x, y) = (sigma_x(y), gamma),
 where sigma_x = lam_x and the second component is lam applied at the inverse
 of sigma_x(y); involutivity, non-degeneracy, and the braid relation are then
-verifiable facts about the two index tables, not assumptions.
+verifiable facts about the two index tables, not assumptions. On an involutive
+table whose sigma rows are permutations, the braid relation holds exactly when
+(x.y).(x.z) = (y.x).(y.z) with x.y = sigma_x^-1(y), Rump's cycle-set identity
+(Adv. Math. 193, 2005); check_solution checks that law there.
 """
 
 from __future__ import annotations
@@ -124,7 +127,13 @@ def check_solution(
 
     Involutivity and non-degeneracy are always exhaustive (N^2 pairs and 2N
     bijection checks).  The braid relation runs over all N^3 triples up to
-    EXHAUSTIVE_CAP, and over `trials` seeded random triples beyond it.
+    EXHAUSTIVE_CAP, and over `trials` seeded random triples beyond it. On an
+    involutive, non-degenerate table it is checked as the cycle-set identity
+    (Rump 2005) on tau, the inverse rows of sigma; a failure at (x, u, z) is
+    reported as (x, y, w) with y = tau[x, u] and w = tau[y, tau[x, z]], where
+    the two sides of the braid relation differ in their first component (z
+    against sigma_u sigma_{u.x}(w)). Any other table is checked, and its
+    failure reported, on the braid relation itself.
     """
     sigma, gamma = table.sigma, table.gamma
     n = table.size
@@ -151,10 +160,22 @@ def check_solution(
         rhs = r23(*r12(*r23(x, y, z)))
         return (lhs[0] == rhs[0]) & (lhs[1] == rhs[1]) & (lhs[2] == rhs[2])
 
+    def cycle_set(x, u, z):
+        return tau[tau[x, u], tau[x, z]] == tau[tau[u, x], tau[u, z]]
+
+    law = braid
+    if involutive and nondegenerate:
+        tau = np.empty_like(sigma)  # tau[x, u] = sigma_x^-1(u), the cycle-set x.u
+        tau[every[:, None], sigma] = every
+        law = cycle_set
     mode = "exhaustive" if n <= EXHAUSTIVE_CAP else "sampled"
-    verdicts, failure, checked = _check_triples(n, {"braid": braid}, mode, trials, seed)
+    verdicts, failure, checked = _check_triples(n, {"braid": law}, mode, trials, seed)
     if failure is not None and counterexample is None:
         counterexample = failure[1]
+        if law is cycle_set:
+            x, u, z = counterexample
+            y = int(tau[x, u])
+            counterexample = (x, y, int(tau[y, tau[x, z]]))
 
     return SolutionReport(
         ok=involutive and nondegenerate and verdicts["braid"],
@@ -168,11 +189,10 @@ def check_solution(
 
 
 def _render(table: SolutionTable) -> bytes:
-    lines = [f"YBE v1 N={table.size}"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in table.sigma)
-    lines.append("")
-    lines.extend(" ".join(str(int(v)) for v in row) for row in table.gamma)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    # each row joins the decimal words of its entries, gathered from one word table
+    words = np.array([str(v) for v in range(table.size)], dtype=object)
+    sigma, gamma = ([" ".join(row) for row in words[t].tolist()] for t in (table.sigma, table.gamma))
+    return "\n".join([f"YBE v1 N={table.size}", *sigma, "", *gamma, ""]).encode("ascii")
 
 
 def export_solution(table: SolutionTable, destination) -> int:

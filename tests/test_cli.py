@@ -4,13 +4,15 @@ The prime-example subcommand is exercised with a tiny sample count here; the
 full-scale run lives in the acceptance suite.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bracekit.cli import _build_parser, run
-from bracekit.ybe import import_solution
+from bracekit.ybe import SolutionTable, _render, import_solution
 
 SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
 CF72 = str(SPECS / "cf72.json")
@@ -180,6 +182,34 @@ def test_export_writes_ybe_file(tmp_path):
     assert run(["export", "--spec", CF72, "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
     assert out.read_bytes().startswith(b"YBE v1 N=72\n")
+
+
+# SHA-256 of each spec's export, as perfbench/cli_small_oracle.json pins them
+EXPORT_SHA256 = {
+    "cf72": "bb0953e6818ad1c3582b5d6114614daa686da21e90607748ae911a0f9dbd0b95",
+    "mf72": "bb0953e6818ad1c3582b5d6114614daa686da21e90607748ae911a0f9dbd0b95",
+    "ns216": "110a252cfe454d72a4e91f1d5ee47c75c3913b9454db654d93f50e60ba4caefc",
+}
+
+
+def _render_each_value(table):
+    lines = [f"YBE v1 N={table.size}"]
+    lines.extend(" ".join(str(int(v)) for v in row) for row in table.sigma)
+    lines.append("")
+    lines.extend(" ".join(str(int(v)) for v in row) for row in table.gamma)
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_export_bytes_are_pinned(tmp_path):
+    for name, digest in EXPORT_SHA256.items():
+        out = tmp_path / f"{name}.ybe"
+        assert run(["export", "--spec", str(SPECS / f"{name}.json"), "--out", str(out)]) == 0
+        payload = out.read_bytes()
+        assert hashlib.sha256(payload).hexdigest() == digest, name
+        table = import_solution(payload)
+        assert _render(table) == _render_each_value(table) == payload
+    one = SolutionTable(sigma=np.zeros((1, 1), dtype=int), gamma=np.zeros((1, 1), dtype=int))
+    assert _render(one) == _render_each_value(one) == b"YBE v1 N=1\n0\n\n0\n"
 
 
 def test_export_to_stdout(capsysbinary):

@@ -85,13 +85,49 @@ def test_corrupted_table_fails():
     assert not report.ok
 
 
+def _involutive(sigma):
+    """The involutive table with these sigma rows: gamma[x, y] = sigma^-1_{sigma_x(y)}(x)."""
+    sigma = np.asarray(sigma)
+    tau = np.argsort(sigma, axis=1)
+    return SolutionTable(sigma=sigma, gamma=tau[sigma, np.arange(len(sigma))[:, None]])
+
+
+def _braid_holds_at(table, x, y, z):
+    """r12 r23 r12 == r23 r12 r23 at (x, y, z), one map at a time."""
+
+    def r12(t):
+        return int(table.sigma[t[0], t[1]]), int(table.gamma[t[0], t[1]]), t[2]
+
+    def r23(t):
+        return t[0], int(table.sigma[t[1], t[2]]), int(table.gamma[t[1], t[2]])
+
+    return r12(r23(r12((x, y, z)))) == r23(r12(r23((x, y, z))))
+
+
 def test_braid_failure_reports_counterexample():
-    # involutive and non-degenerate but braid-violating: swap one row pair
-    sigma = np.array([[1, 0, 2], [0, 1, 2], [2, 1, 0]])
-    gamma = sigma.T.copy()
-    report = check_solution(SolutionTable(sigma=sigma, gamma=gamma))
-    if not report.braid:
-        assert report.counterexample is not None
+    table = _involutive([[1, 0, 2], [2, 0, 1], [2, 0, 1]])
+    report = check_solution(table)
+    assert report.involutive and report.nondegenerate and not report.braid
+    assert not _braid_holds_at(table, *report.counterexample)
+
+
+def test_cycle_set_verdict_matches_the_braid_relation():
+    rng = np.random.default_rng(17)
+    seen = {True: 0, False: 0}
+    for _ in range(4000):
+        n = int(rng.integers(1, 7))
+        # one or two distinct sigma rows, so that many tables satisfy the braid relation
+        perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 3)))]
+        table = _involutive([perms[int(i)] for i in rng.integers(0, len(perms), n)])
+        report = check_solution(table)
+        assert report.involutive
+        direct = all(_braid_holds_at(table, *t) for t in np.ndindex(n, n, n))
+        assert report.braid == direct
+        if not direct:
+            assert not _braid_holds_at(table, *report.counterexample)
+        if report.nondegenerate and n > 2:
+            seen[direct] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def _braid_violating(n, lo, seed):
