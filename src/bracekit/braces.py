@@ -228,10 +228,12 @@ class _Scratch(threading.local):
     m <= _BLOCK. Fresh (d, n) arrays would cost a page fault per 4 KB on
     every large call, because the allocator hands big freed blocks back to
     the system. No value survives from one call to the next: every kernel
-    writes a row before it reads it.
+    writes a row before it reads it. ``quotients`` is one more row, of
+    _BLOCK entries, for ``_MixedRadix.decode``.
     """
 
     def __init__(self):
+        self.quotients = np.empty(_BLOCK, dtype=np.int64)
         self._flat = np.empty(0, dtype=np.int64)
         self._shape = None
         self._rows = ()
@@ -282,19 +284,36 @@ class _MixedRadix:
         by the weights, or than ``np.divmod`` by the same scalar. The result
         (and ``out``) is the transpose of a (d, n) array, so ``.T`` gives back
         one row per coordinate. Indices outside 0..size-1 raise IndexError.
+
+        The columns are walked _BLOCK at a time. Within a block the quotients
+        alternate between this thread's ``_scratch.quotients`` and the slice
+        of the heaviest digit's row, which is written last, so a call
+        allocates only its result.
         """
         rows = np.empty((self.moduli.size, idx.size), dtype=np.int64) if out is None else out.T
-        rest = idx
-        for j, m in self._digits:
-            q = rest // m
-            row = rows[j]
-            np.multiply(q, m, row)
-            np.subtract(rest, row, row)
-            rest = q
-        # the last quotient is zero exactly when 0 <= idx < size
-        if np.count_nonzero(rest):
-            bad = int(idx[rest != 0][0])
-            raise IndexError(f"index {bad} outside carrier of order {self.size}")
+        chain, (top_j, top_m) = self._digits[:-1], self._digits[-1]
+        scratch = _scratch.quotients
+        for lo in range(0, idx.size, _BLOCK):
+            if idx.size <= _BLOCK:  # kernel blocks and small calls: no slices to make
+                block, part = rows, idx
+            else:
+                block, part = rows[:, lo : lo + _BLOCK], idx[lo : lo + _BLOCK]
+            top, rest = block[top_j], part
+            # the parity leaves the quotient that the heaviest digit divides in scratch
+            q, spare = (scratch[: part.size], top) if len(chain) % 2 else (top, scratch[: part.size])
+            for j, m in chain:
+                np.floor_divide(rest, m, q)
+                row = block[j]
+                np.multiply(q, m, row)
+                np.subtract(rest, row, row)
+                rest, q, spare = q, spare, q
+            np.floor_divide(rest, top_m, top)
+            # the last quotient is zero exactly when 0 <= idx < size, and the
+            # heaviest digit is then the rest itself
+            if np.count_nonzero(top):
+                bad = int(part[top != 0][0])
+                raise IndexError(f"index {bad} outside carrier of order {self.size}")
+            np.copyto(top, rest)
         return rows.T
 
     def encode(self, coords: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -864,43 +883,74 @@ EXHAUSTIVE_CAP = 200  # carriers and solution tables up to this size are checked
 _CHUNK = 500_000  # index pairs or triples per chunk of a vectorized check
 
 
+def _draw_triples(n: int, trials: int, seed: int) -> np.ndarray:
+    """The triples of ``np.random.default_rng(seed).integers(0, n, size=(3, trials))``.
+
+    They are stored in the smallest dtype that holds n - 1 (uint8 up to 256
+    elements) and drawn _BLOCK at a time in row order; one Generator's
+    bounded-integer stream continues across calls, so the entries are those
+    of the one-shot draw.
+    """
+    draw = np.empty((3, trials), dtype=np.min_scalar_type(n - 1))
+    flat = draw.reshape(-1)
+    rng = np.random.default_rng(seed)
+    for lo in range(0, flat.size, _BLOCK):
+        flat[lo : lo + _BLOCK] = rng.integers(0, n, size=min(_BLOCK, flat.size - lo))
+    return draw
+
+
 def _check_triples(n: int, laws: dict, mode: str, trials: int, seed: int):
     """Run triple laws over all n^3 index triples or over a seeded sample.
 
     Each law maps index arrays a, b, c (broadcastable against each other) to
     an array that is True where the law holds. "exhaustive" walks a in chunks
-    of about _CHUNK triples; "sampled" draws ``trials`` triples at once from
-    ``np.random.default_rng(seed)``. A law that failed is not run again.
-    Returns each law's verdict, the first failure (law name, (a, b, c)) in
-    chunk-then-law order or None, and the number of triples covered.
+    of about _CHUNK triples. "sampled" makes one seeded draw of ``trials``
+    triples in the smallest dtype (``_draw_triples``), which is one chunk.
+    Every chunk is checked in slices of about _BLOCK triples, a sampled slice
+    widened to int64 on its own, and is reported as if it were checked at
+    once: the failure is the first in chunk-then-law order, that is, the
+    first law in order that fails in the first chunk where any law fails, at
+    its first failing triple. A law that failed is not run again. Returns
+    each law's verdict, the failure (law name, (a, b, c)) or None, and the
+    number of triples covered.
     """
-    verdicts = dict.fromkeys(laws, True)
-    failure = None
     if mode == "exhaustive":
         every = np.arange(n, dtype=np.int64)
-        step = max(1, _CHUNK // max(1, n * n))
-        chunks = (
-            (every[lo : lo + step, None, None], every[None, :, None], every[None, None, :])
-            for lo in range(0, n, step)
-        )
+        bs, cs = every[None, :, None], every[None, None, :]
+        step = max(1, _CHUNK // max(1, n * n))  # values of a per chunk
+        part = max(1, _BLOCK // max(1, n * n))  # values of a per slice
+
+        def slices(lo):
+            hi = min(lo + step, n)
+            return [(every[at : min(at + part, hi), None, None], bs, cs) for at in range(lo, hi, part)]
+
+        chunks = map(slices, range(0, n, step))
         covered = n**3
     else:
         covered = int(trials)
         if covered < 1:
             raise ValueError(f"sampled checks need at least 1 trial, got {trials}")
-        chunks = [np.random.default_rng(seed).integers(0, n, size=(3, covered))]
-    for a, b, c in chunks:
-        triple = np.broadcast_arrays(a, b, c)
-        for name, law in laws.items():
-            if not verdicts[name]:
-                continue
-            held = np.broadcast_to(law(a, b, c), triple[0].shape)
-            if held.all():
-                continue
-            verdicts[name] = False
-            if failure is None:
-                first = np.unravel_index(np.argmin(held), held.shape)
-                failure = (name, tuple(int(t[first]) for t in triple))
+        draw = _draw_triples(n, covered, seed)
+        chunks = [(draw[:, lo : lo + _BLOCK].astype(np.int64) for lo in range(0, covered, _BLOCK))]
+    verdicts = dict.fromkeys(laws, True)
+    failure = None
+    for chunk in chunks:
+        firsts = {}  # law name -> its first failing triple in this chunk
+        for a, b, c in chunk:
+            triple = np.broadcast_arrays(a, b, c)
+            for name, law in laws.items():
+                if not verdicts[name] or name in firsts:
+                    continue
+                held = np.broadcast_to(law(a, b, c), triple[0].shape)
+                if not held.all():
+                    first = np.unravel_index(np.argmin(held), held.shape)
+                    firsts[name] = tuple(int(t[first]) for t in triple)
+            if len(firsts) == sum(verdicts.values()):  # every law still open failed here
+                break
+        for name in laws:
+            if name in firsts:
+                verdicts[name] = False
+                failure = failure or (name, firsts[name])
         if not any(verdicts.values()):
             break
     return verdicts, failure, covered
@@ -917,7 +967,10 @@ def check_axioms(
     ``mode`` is "exhaustive" (all pairs and triples), "sampled" (seeded random
     triples; identity and inverse laws stay exhaustive since they are linear
     scans), or "auto", which picks exhaustive for orders up to
-    ``EXHAUSTIVE_CAP``. The report is cached on the brace instance.
+    ``EXHAUSTIVE_CAP``. The report is cached on the brace instance. A sampled
+    check makes one seeded draw of ``trials`` triples in the smallest dtype
+    and walks it in 2^15-triple slices (``_check_triples``): the triples and
+    the report are those of checking the whole draw at once.
 
     The identity and inverse scans run through the kernels. Commutativity and
     the triple laws gather from the (add, mul) tables of ``tabulate`` when a
@@ -954,17 +1007,17 @@ def check_axioms(
         )
 
     every = B.elements()
-    zeros = np.full(n, z, dtype=np.int64)
     checks: dict[str, bool] = {}
     failures = []
+    # one scan's result at a time: at large orders each is a carrier-sized array
     for name, got, want in (
-        ("additive_identity", B.add(z, every), every),
-        ("additive_inverses", B.add(every, B.neg(every)), zeros),
-        ("multiplicative_identity", B.mul(z, every), every),
-        ("multiplicative_identity", B.mul(every, z), every),
-        ("multiplicative_inverses", B.mul(every, B.inv(every)), zeros),
+        ("additive_identity", lambda: B.add(z, every), every),
+        ("additive_inverses", lambda: B.add(every, B.neg(every)), z),
+        ("multiplicative_identity", lambda: B.mul(z, every), every),
+        ("multiplicative_identity", lambda: B.mul(every, z), every),
+        ("multiplicative_inverses", lambda: B.mul(every, B.inv(every)), z),
     ):
-        bad = np.flatnonzero(got != want)
+        bad = np.flatnonzero(got() != want)
         checks[name] = checks.get(name, True) and bad.size == 0
         if bad.size:
             failures.append((name, (int(bad[0]),)))

@@ -40,9 +40,11 @@ from bracekit.braces import (
     star_span,
     tabulate,
     _BLOCK,
+    _CHUNK,
     _AdditiveSpan,
     _MixedRadix,
     _check_triples,
+    _draw_triples,
     _greedy_generators,
     _ideal_maps,
     _orbit_labels,
@@ -687,6 +689,24 @@ def test_decode_matches_digit_loop(moduli, order):
     assert np.array_equal(codec.encode(got), idx)
 
 
+def test_decode_allocates_little_beyond_its_result(bulk750k):
+    # the quotient chain is walked _BLOCK columns at a time
+    codec, every = bulk750k.codec, bulk750k.elements()
+    codec.decode(every[:10])
+    tracemalloc.start()
+    try:
+        got = codec.decode(every)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(codec.encode(got), every)
+    assert peak <= got.nbytes + 2 * _BLOCK * 8, peak
+    bad = every[: 2 * _BLOCK].copy()
+    bad[_BLOCK + 3] = -1
+    with pytest.raises(IndexError, match="index -1 outside"):
+        codec.decode(bad)
+
+
 def test_layout_permutes_storage_only():
     # s stored before t: (t=1, s=0) sits at index 3
     B = AsymmetricProductBrace([2], [3], [[[0]]], [[[1]]], layout=[1, 0])
@@ -821,6 +841,132 @@ def test_pinned_reports_corrupted_multiplication():
     assert (report.ok, report.mode, report.order, report.trials) == (False, "sampled", 106, 20_000)
     assert report.checks == checks
     assert report.counterexample == ("multiplicative_associativity", (100, 3, 27))
+
+
+@pytest.mark.parametrize("n", [1, 2, 72, 216, 70_000, 750_141])
+@pytest.mark.parametrize("trials", [1, _BLOCK, 3 * _BLOCK + 7])
+def test_sampled_draw_is_the_one_shot_draw(n, trials):
+    draw = _draw_triples(n, trials, seed=n + trials)
+    assert draw.dtype == np.min_scalar_type(n - 1) and draw.shape == (3, trials)
+    want = np.random.default_rng(n + trials).integers(0, n, size=(3, trials))
+    assert np.array_equal(draw, want)
+
+
+def _one_shot_triples(n, laws, trials, seed):
+    """Reference: every law over the whole draw at once; the first law in order that fails is reported."""
+    a, b, c = np.random.default_rng(seed).integers(0, n, size=(3, trials))
+    verdicts, failure = {}, None
+    for name, law in laws.items():
+        held = law(a, b, c)
+        verdicts[name] = bool(held.all())
+        if failure is None and not verdicts[name]:
+            i = int(np.argmin(held))
+            failure = (name, (int(a[i]), int(b[i]), int(c[i])))
+    return verdicts, failure, trials
+
+
+def _chunk_at_once_triples(n, laws):
+    """Reference: each chunk of _CHUNK // n^2 values of a checked at once, in chunk-then-law order."""
+    step = max(1, _CHUNK // (n * n))
+    verdicts, failure = dict.fromkeys(laws, True), None
+    for lo in range(0, n, step):
+        a, b, c = np.ix_(np.arange(lo, min(lo + step, n)), np.arange(n), np.arange(n))
+        for name, law in laws.items():
+            held = np.broadcast_to(law(a, b, c), (a.size, n, n))
+            if verdicts[name] and not held.all():
+                verdicts[name] = False
+                i, j, k = np.unravel_index(np.argmin(held), held.shape)
+                failure = failure or (name, (lo + int(i), int(j), int(k)))
+    return verdicts, failure, n**3
+
+
+def _table_laws(T):
+    """The pair law and the triple laws of check_axioms, gathered from T's tables."""
+    add_t, mul_t = tabulate(T)
+
+    def add(x, y):
+        return add_t[x, y]
+
+    def mul(x, y):
+        return mul_t[x, y]
+
+    pair = {"additive_commutativity": lambda a, b, c: add(a, b) == add(b, a)}
+    triple = {
+        "additive_associativity": lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)),
+        "multiplicative_associativity": lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)),
+        "compatibility": lambda a, b, c: add(mul(a, add(b, c)), a) == add(mul(a, b), mul(a, c)),
+    }
+    return pair, triple
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    table=st.sampled_from([0, 1]),
+    at=st.tuples(st.integers(1, 105), st.integers(1, 105)),
+    source=st.tuples(st.integers(0, 105), st.integers(0, 105)),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(1, _BLOCK),
+)
+def test_sliced_reports_match_checking_each_chunk_at_once(table, at, source, seed, extra):
+    T = _corrupted_d106(table, at, source)
+    trials = 2 * _BLOCK + extra
+    pair, triple = _table_laws(T)
+    for laws in (pair, triple):
+        assert _check_triples(106, laws, "exhaustive", 0, 0) == _chunk_at_once_triples(106, laws)
+    want_pair = _one_shot_triples(106, pair, trials, seed)
+    want_triple = _one_shot_triples(106, triple, trials, seed)
+    assert _check_triples(106, pair, "sampled", trials, seed) == want_pair
+    assert _check_triples(106, triple, "sampled", trials, seed) == want_triple
+    report = check_axioms(T, mode="sampled", trials=trials, seed=seed)
+    assert report.trials == trials
+    assert {name: report.checks[name] for name in {**pair, **triple}} == {**want_pair[0], **want_triple[0]}
+    if all(report.checks[name] for name in _LINEAR_OK):
+        if want_pair[1] is not None:
+            assert report.counterexample == (want_pair[1][0], want_pair[1][1][:2])
+        else:
+            assert report.counterexample == want_triple[1]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_failure_is_the_first_failing_law_not_the_first_failing_slice(mode):
+    # in the first chunk, the first law fails only past its first two slices
+    # and the second law already in the first slice
+    n, trials, seed = 106, 3 * _BLOCK, 5
+    _, triple = _table_laws(_corrupted_d106(0, (60, 70), (60, 71)))
+    associative = triple["additive_associativity"]
+    if mode == "exhaustive":
+        every = np.arange(n)
+        part = _BLOCK // (n * n)  # 2 values of a per slice
+        assert not associative(every[:part, None, None], every[None, :, None], every[None, None, :]).all()
+        needle = (2 * part + 1, 7, 9)
+    else:
+        a, b, c = np.random.default_rng(seed).integers(0, n, size=(3, trials))
+        assert not associative(a[:_BLOCK], b[:_BLOCK], c[:_BLOCK]).all()
+        _, first_seen = np.unique((a * n + b) * n + c, return_index=True)
+        late = int(first_seen[first_seen >= 2 * _BLOCK].min())
+        needle = (int(a[late]), int(b[late]), int(c[late]))
+    laws = {
+        "needle": lambda x, y, z: (x != needle[0]) | (y != needle[1]) | (z != needle[2]),
+        "additive_associativity": associative,
+    }
+    got = _check_triples(n, laws, mode, trials, seed)
+    assert got[:2] == ({"needle": False, "additive_associativity": False}, ("needle", needle))
+    if mode == "exhaustive":
+        assert got == _chunk_at_once_triples(n, laws)
+    else:
+        assert got == _one_shot_triples(n, laws, trials, seed)
+
+
+def test_exhaustive_slices_keep_to_their_chunk():
+    # at n = 100 a chunk holds 50 values of a and a slice 3, so each chunk ends in a short slice
+    n = 100
+    laws = {
+        "late": lambda a, b, c: (a != 50) | (b != 0) | (c != 0),
+        "early": lambda a, b, c: (a != 10) | (b != 0) | (c != 0),
+    }
+    got = _check_triples(n, laws, "exhaustive", 0, 0)
+    assert got == ({"late": False, "early": False}, ("early", (10, 0, 0)), n**3)
+    assert got == _chunk_at_once_triples(n, laws)
 
 
 def _axioms_through_kernels(B, mode, trials=100_000, seed=0):

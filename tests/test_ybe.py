@@ -1,12 +1,14 @@
 """Solution tables: derivation from braces, the three checks, and text I/O."""
 
 import io
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bracekit.braces import TrivialBrace, check_axioms
-from bracekit.construct import build_family, parse_spec
+from bracekit.construct import build_family, load_spec, parse_spec
 from bracekit.errors import AxiomsNotVerifiedError, SolutionFormatError
 from bracekit.ybe import (
     SolutionReport,
@@ -171,6 +173,21 @@ def test_sampled_braid_mode():
     assert report.ok
     assert report.braid_mode == "sampled"
     assert report.braid_checked == 5_000
+
+
+def test_sampled_braid_check_holds_little_beyond_its_draw():
+    # 10^6 triples of a 216-element table: a 3 MB uint8 draw, walked in _BLOCK slices
+    B = build_family(load_spec(Path(__file__).resolve().parent.parent / "demos/specs/ns216.json"))
+    check_axioms(B)
+    table = solution_from_brace(B)
+    tracemalloc.start()
+    try:
+        report = check_solution(table, trials=1_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.ok, report.braid_mode, report.braid_checked) == (True, "sampled", 1_000_000)
+    assert peak <= 8_000_000, peak
 
 
 def test_sampled_braid_mode_needs_a_trial():
