@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braces import _CHUNK
+from .braces import _BLOCK
 from .errors import (
     BudgetExceededError,
     ConditionViolationError,
@@ -290,14 +290,14 @@ def _order_p1_candidates(p: int, p1: int, dim: int):
     p1 is prime, so f has order p1 exactly when f^p1 = I and f != I, and f is
     then invertible. Candidate i is the base-p digit string of i, most
     significant digit first (the order of itertools.product); candidates are
-    decoded in chunks of at most _CHUNK entries, and f^p1 is computed for a
-    whole chunk at once with batched matmul.
+    decoded in blocks of at most _BLOCK matrix entries, and f^p1 is computed
+    for a whole block at once with batched matmul.
     """
     size = dim * dim
     total = p**size
     places = p ** np.arange(size - 1, -1, -1, dtype=np.int64)
     ident = np.eye(dim, dtype=np.int64)
-    step = max(1, _CHUNK // size)
+    step = max(1, _BLOCK // size)
     for lo in range(0, total, step):
         index = np.arange(lo, min(lo + step, total), dtype=np.int64)
         f = (index[:, None] // places % p).reshape(-1, dim, dim)
@@ -322,7 +322,7 @@ def find_orthogonal_element(
     the full quotient polynomial when dim = 2(p1 - 1).  Anything else falls to
     exhaustive lexicographic search over all p^(dim^2) matrices, bounded by
     search_budget; exhaustion proves NoWitness.  That search keeps the
-    matrices of order p1, found a chunk at a time by batched matrix powers
+    matrices of order p1, found a block at a time by batched matrix powers
     (``_order_p1_candidates``), then tests f - id and looks for an invariant
     non-singular form one survivor at a time, in lexicographic order.
     """

@@ -638,7 +638,7 @@ class AsymmetricProductBrace(FiniteBrace):
     def _tabulate_alpha(self) -> np.ndarray:
         """(dT, order) images alpha_s(t), s-key major, t in C order, as small ints.
 
-        Keys go in blocks of about _CHUNK table entries: each block decodes its
+        Keys go in blocks of about _BLOCK table entries: each block decodes its
         keys to s-digits, multiplies their generator powers as one batch of
         matrices, and applies them to every t at once.
         """
@@ -646,7 +646,7 @@ class AsymmetricProductBrace(FiniteBrace):
         ts = np.indices(self._tm.tolist()).reshape(dt, size)
         powers = [np.stack(p) for p in self._gen_powers]
         table = np.empty((dt, self.order), dtype=np.min_scalar_type(int(self._tm.max()) - 1))
-        step = max(1, _CHUNK // (size * dt))
+        step = max(1, _BLOCK // (size * dt))
         for lo in range(0, keys_total, step):
             keys = np.arange(lo, min(lo + step, keys_total), dtype=np.int64)
             m = np.eye(dt, dtype=np.int64)
@@ -880,7 +880,6 @@ class AxiomReport:
 
 
 EXHAUSTIVE_CAP = 200  # carriers and solution tables up to this size are checked over all triples
-_CHUNK = 500_000  # index pairs or triples per chunk of a vectorized check
 
 
 def _draw_triples(n: int, trials: int, seed: int) -> np.ndarray:
@@ -903,57 +902,41 @@ def _check_triples(n: int, laws: dict, mode: str, trials: int, seed: int):
     """Run triple laws over all n^3 index triples or over a seeded sample.
 
     Each law maps index arrays a, b, c (broadcastable against each other) to
-    an array that is True where the law holds. "exhaustive" walks a in chunks
-    of about _CHUNK triples. "sampled" makes one seeded draw of ``trials``
-    triples in the smallest dtype (``_draw_triples``), which is one chunk.
-    Every chunk is checked in slices of about _BLOCK triples, a sampled slice
-    widened to int64 on its own, and is reported as if it were checked at
-    once: the failure is the first in chunk-then-law order, that is, the
-    first law in order that fails in the first chunk where any law fails, at
-    its first failing triple. A law that failed is not run again. Returns
-    each law's verdict, the failure (law name, (a, b, c)) or None, and the
-    number of triples covered.
+    an array that is True where the law holds. "exhaustive" walks a in order,
+    "sampled" walks one seeded draw of ``trials`` triples in the smallest
+    dtype (``_draw_triples``); both walks go in slices of about _BLOCK
+    triples, a sampled slice widened to int64 on its own. The report is that
+    of checking every triple at once: the failure is the first law in order
+    that fails anywhere, at its first failing triple in walk order. A law
+    that failed is not run again. Returns each law's verdict, the failure
+    (law name, (a, b, c)) or None, and the number of triples covered.
     """
     if mode == "exhaustive":
         every = np.arange(n, dtype=np.int64)
         bs, cs = every[None, :, None], every[None, None, :]
-        step = max(1, _CHUNK // max(1, n * n))  # values of a per chunk
         part = max(1, _BLOCK // max(1, n * n))  # values of a per slice
-
-        def slices(lo):
-            hi = min(lo + step, n)
-            return [(every[at : min(at + part, hi), None, None], bs, cs) for at in range(lo, hi, part)]
-
-        chunks = map(slices, range(0, n, step))
+        walk = ((every[lo : lo + part, None, None], bs, cs) for lo in range(0, n, part))
         covered = n**3
     else:
         covered = int(trials)
         if covered < 1:
             raise ValueError(f"sampled checks need at least 1 trial, got {trials}")
         draw = _draw_triples(n, covered, seed)
-        chunks = [(draw[:, lo : lo + _BLOCK].astype(np.int64) for lo in range(0, covered, _BLOCK))]
-    verdicts = dict.fromkeys(laws, True)
-    failure = None
-    for chunk in chunks:
-        firsts = {}  # law name -> its first failing triple in this chunk
-        for a, b, c in chunk:
-            triple = np.broadcast_arrays(a, b, c)
-            for name, law in laws.items():
-                if not verdicts[name] or name in firsts:
-                    continue
-                held = np.broadcast_to(law(a, b, c), triple[0].shape)
-                if not held.all():
-                    first = np.unravel_index(np.argmin(held), held.shape)
-                    firsts[name] = tuple(int(t[first]) for t in triple)
-            if len(firsts) == sum(verdicts.values()):  # every law still open failed here
-                break
-        for name in laws:
+        walk = (draw[:, lo : lo + _BLOCK].astype(np.int64) for lo in range(0, covered, _BLOCK))
+    firsts = {}  # law name -> its first failing triple
+    for a, b, c in walk:
+        triple = np.broadcast_arrays(a, b, c)
+        for name, law in laws.items():
             if name in firsts:
-                verdicts[name] = False
-                failure = failure or (name, firsts[name])
-        if not any(verdicts.values()):
+                continue
+            held = np.broadcast_to(law(a, b, c), triple[0].shape)
+            if not held.all():
+                first = np.unravel_index(np.argmin(held), held.shape)
+                firsts[name] = tuple(int(t[first]) for t in triple)
+        if len(firsts) == len(laws):
             break
-    return verdicts, failure, covered
+    failure = next(((name, firsts[name]) for name in laws if name in firsts), None)
+    return {name: name not in firsts for name in laws}, failure, covered
 
 
 def check_axioms(
@@ -967,10 +950,12 @@ def check_axioms(
     ``mode`` is "exhaustive" (all pairs and triples), "sampled" (seeded random
     triples; identity and inverse laws stay exhaustive since they are linear
     scans), or "auto", which picks exhaustive for orders up to
-    ``EXHAUSTIVE_CAP``. The report is cached on the brace instance. A sampled
-    check makes one seeded draw of ``trials`` triples in the smallest dtype
-    and walks it in 2^15-triple slices (``_check_triples``): the triples and
-    the report are those of checking the whole draw at once.
+    ``EXHAUSTIVE_CAP``. The report is cached on the brace instance.
+    Commutativity, on the first two entries of each triple, and the three
+    triple laws are one ``_check_triples`` walk in 2^15-triple slices, over a
+    single seeded draw of ``trials`` triples when sampled. Its report is that
+    of checking every triple at once: the first law in that order that fails
+    anywhere, at its first failing triple.
 
     The identity and inverse scans run through the kernels. Commutativity and
     the triple laws gather from the (add, mul) tables of ``tabulate`` when a
@@ -1033,21 +1018,18 @@ def check_axioms(
 
     else:
         add, mul = B.add, B.mul
-    # commutativity is a law on pairs: it runs over all of them before any triple law
-    commutes = {"additive_commutativity": lambda a, b, c: add(a, b) == add(b, a)}
-    verdicts, failure, _ = _check_triples(n, commutes, mode, trials, seed)
-    checks.update(verdicts)
-    if failure is not None:
-        failures.append((failure[0], failure[1][:2]))
-    triple_laws = {
+    laws = {
+        # a law on pairs: its counterexample is the first two entries of the triple
+        "additive_commutativity": lambda a, b, c: add(a, b) == add(b, a),
         "additive_associativity": lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)),
         "multiplicative_associativity": lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)),
         "compatibility": lambda a, b, c: add(mul(a, add(b, c)), a) == add(mul(a, b), mul(a, c)),
     }
-    verdicts, failure, covered = _check_triples(n, triple_laws, mode, trials, seed)
+    verdicts, failure, covered = _check_triples(n, laws, mode, trials, seed)
     checks.update(verdicts)
     if failure is not None:
-        failures.append(failure)
+        name, triple = failure
+        failures.append((name, triple[:2] if name == "additive_commutativity" else triple))
 
     report = AxiomReport(
         ok=all(checks.values()),
@@ -1224,7 +1206,7 @@ def _ideal_maps(B: FiniteBrace, two_sided: bool) -> np.ndarray:
                 fresh = lefts[-1][covered]
                 fresh = fresh[~covered[fresh]]
                 covered[fresh] = True
-                _close(covered, fresh, lefts)
+                _close(covered, fresh, lambda f: np.concatenate([left[f] for left in lefts]))
         tables = np.empty((2 * len(gens), B.order), dtype=np.int32)
         for i, (g, gi, left) in enumerate(zip(gens, B.inv(gens).tolist(), lefts)):
             tables[2 * i] = B.sub(left, g)
@@ -1233,11 +1215,15 @@ def _ideal_maps(B: FiniteBrace, two_sided: bool) -> np.ndarray:
     return built[1] if two_sided else built[1][::2]
 
 
-def _close(mask: np.ndarray, frontier: np.ndarray, tables) -> None:
-    """Mark in ``mask`` each image of the marked ``frontier`` under words in ``tables``."""
-    while frontier.size and len(tables):
-        images = _sorted_distinct(np.concatenate([table[frontier] for table in tables]))
-        frontier = images[~mask[images]]
+def _close(mask: np.ndarray, frontier: np.ndarray, images) -> None:
+    """Mark in ``mask`` everything reached from the marked ``frontier`` by repeated ``images``.
+
+    ``images(frontier)`` returns the one-step images of an index array, in
+    any shape: table gathers, or kernel products with the generators.
+    """
+    while frontier.size:
+        found = _sorted_distinct(images(frontier))
+        frontier = found[~mask[found]]
         mask[frontier] = True
 
 
@@ -1371,16 +1357,8 @@ def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
     mask = np.zeros(B.order, dtype=bool)
     mask[B.zero()] = True
     if gen_arr.size:
-        _grow(B, mask, np.array([B.zero()], dtype=np.int64), gen_arr)
+        _close(mask, np.array([B.zero()], dtype=np.int64), lambda f: B.mul(f[:, None], gen_arr))
     return np.flatnonzero(mask).astype(np.int64)
-
-
-def _grow(B: FiniteBrace, mask: np.ndarray, frontier: np.ndarray, gens: np.ndarray) -> None:
-    """Mark in ``mask`` every product of the marked ``frontier`` with a word in ``gens``."""
-    while frontier.size:
-        prods = _sorted_distinct(B.mul(frontier[:, None], gens[None, :]))
-        frontier = prods[~mask[prods]]
-        mask[frontier] = True
 
 
 def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optional[tuple]:
@@ -1401,7 +1379,8 @@ def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optiona
             fresh = B.mul(np.flatnonzero(covered), x)
             fresh = fresh[~covered[fresh]]
             covered[fresh] = True
-            _grow(B, covered, fresh, np.array(gens, dtype=np.int64))
+            picks = np.array(gens, dtype=np.int64)
+            _close(covered, fresh, lambda f: B.mul(f[:, None], picks))
             if inside is not None and not inside[covered].all():
                 return None
     return gens, covered

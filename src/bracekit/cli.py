@@ -199,7 +199,7 @@ def _cmd_verify(args) -> int:
             out["certificate_inside_witness"] = bool(
                 witness.contains(result.certificate.members)
             )
-        except (NoWitnessError, AttributeError):
+        except NoWitnessError:
             pass
     _emit(_render(out, args.json), args.out)
     if not axioms.ok:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braces import (
-    _CHUNK,
+    _BLOCK,
     FiniteBrace,
     IdealRecord,
     _close,
@@ -61,7 +61,8 @@ def derived_subgroup(B: FiniteBrace, budget: int = 1_000_000) -> np.ndarray:
     orbit = np.zeros(B.order, dtype=bool)
     frontier = _sorted_distinct(commutators)
     orbit[frontier] = True
-    _close(orbit, frontier, _ideal_maps(B, two_sided=True)[1::2])
+    tables = _ideal_maps(B, two_sided=True)[1::2]
+    _close(orbit, frontier, lambda f: tables[:, f].ravel())
     return np.flatnonzero(_greedy_generators(B, np.flatnonzero(orbit))[1])
 
 
@@ -69,7 +70,7 @@ def _pairwise_commuting(B: FiniteBrace, xs) -> bool:
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size <= 1:
         return True
-    step = max(1, _CHUNK // xs.size)
+    step = max(1, _BLOCK // xs.size)
     for i in range(0, xs.size, step):
         rows = xs[i : i + step]
         left = B.mul(rows[:, None], xs[None, :])

@@ -128,8 +128,9 @@ def check_solution(
     Involutivity and non-degeneracy are always exhaustive (N^2 pairs and 2N
     bijection checks).  The braid relation runs over all N^3 triples up to
     EXHAUSTIVE_CAP, and over `trials` seeded random triples beyond it: one
-    draw in the smallest dtype (3 bytes a triple up to 256 elements), walked
-    in 2^15-triple slices, with the triples and report of a one-shot check.
+    draw in the smallest dtype (3 bytes a triple up to 256 elements). Either
+    way ``_check_triples`` walks them in 2^15-triple slices and reports the
+    first failing triple in walk order, as a check of all at once would.
     On an involutive, non-degenerate table it is checked as the cycle-set
     identity (Rump 2005) on tau, the inverse rows of sigma; a failure at
     (x, u, z) is reported as (x, y, w) with y = tau[x, u] and
@@ -228,16 +229,21 @@ def _parse_row(line: str, n: int, what: str, lineno: int) -> list[int]:
 def import_solution(source) -> SolutionTable:
     """Parse the YBE v1 text form from a path, bytes, or readable object."""
     if isinstance(source, bytes):
-        text = source.decode("ascii")
+        data = source
     elif hasattr(source, "read"):
         data = source.read()
-        text = data.decode("ascii") if isinstance(data, bytes) else data
     else:
-        text = Path(source).read_bytes().decode("ascii")
+        data = Path(source).read_bytes()
+    # latin-1 maps every byte to one character, so a non-ASCII byte stays non-ASCII
+    text = data.decode("latin-1") if isinstance(data, bytes) else data
+    if not text.isascii():
+        raise SolutionFormatError("the text form holds ASCII characters only")
     lines = text.split("\n")
     if not lines or _HEADER.match(lines[0]) is None:
         raise SolutionFormatError("missing or malformed 'YBE v1 N=<N>' header")
     n = int(_HEADER.match(lines[0]).group(1))
+    if n == 0:
+        raise SolutionFormatError("the header must give N of at least 1")
     expected = 1 + n + 1 + n
     body = lines[1:]
     if len(body) < expected - 1:

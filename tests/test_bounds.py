@@ -263,7 +263,7 @@ def _order_p1_by_brute_force(p, p1, dim):
     return found
 
 
-# (2, 3, 4) enumerates 2^16 = 65,536 candidates, more than one chunk of the filter
+# (2, 3, 4) enumerates 2^16 = 65,536 candidates, 32 blocks of the filter
 @pytest.mark.parametrize("p, p1, dim", [(2, 3, 2), (3, 2, 2), (5, 3, 2), (2, 3, 3), (2, 3, 4)])
 def test_order_p1_filter_matches_brute_force(p, p1, dim):
     got = list(_order_p1_candidates(p, p1, dim))

@@ -40,7 +40,6 @@ from bracekit.braces import (
     star_span,
     tabulate,
     _BLOCK,
-    _CHUNK,
     _AdditiveSpan,
     _MixedRadix,
     _check_triples,
@@ -803,7 +802,7 @@ _LINEAR_OK = {
 
 
 # The four reports below were captured before the exhaustive and sampled
-# checkers were merged. Order 106 runs the exhaustive triples in three chunks.
+# checkers were merged. Order 106 walks its exhaustive triples in 53 slices.
 def test_pinned_reports_corrupted_addition():
     T = _corrupted_d106(0, (60, 70), (60, 71))
     checks = dict(
@@ -843,7 +842,7 @@ def test_pinned_reports_corrupted_multiplication():
     assert report.counterexample == ("multiplicative_associativity", (100, 3, 27))
 
 
-@pytest.mark.parametrize("n", [1, 2, 72, 216, 70_000, 750_141])
+@pytest.mark.parametrize("n", [1, 2, 72, 216, 256, 257, 70_000, 750_141])
 @pytest.mark.parametrize("trials", [1, _BLOCK, 3 * _BLOCK + 7])
 def test_sampled_draw_is_the_one_shot_draw(n, trials):
     draw = _draw_triples(n, trials, seed=n + trials)
@@ -852,32 +851,25 @@ def test_sampled_draw_is_the_one_shot_draw(n, trials):
     assert np.array_equal(draw, want)
 
 
-def _one_shot_triples(n, laws, trials, seed):
-    """Reference: every law over the whole draw at once; the first law in order that fails is reported."""
-    a, b, c = np.random.default_rng(seed).integers(0, n, size=(3, trials))
+def _at_once_triples(n, laws, mode, trials=0, seed=0):
+    """Reference: every law over every triple at once, all n^3 in order or the one-shot draw.
+
+    The first law in order that fails is reported, at its first failing triple.
+    """
+    if mode == "exhaustive":
+        a, b, c = np.ix_(np.arange(n), np.arange(n), np.arange(n))
+    else:
+        a, b, c = np.random.default_rng(seed).integers(0, n, size=(3, trials))
+    shape = np.broadcast(a, b, c).shape
+    triple = [np.broadcast_to(t, shape).ravel() for t in (a, b, c)]
     verdicts, failure = {}, None
     for name, law in laws.items():
-        held = law(a, b, c)
+        held = np.broadcast_to(law(a, b, c), shape).ravel()
         verdicts[name] = bool(held.all())
         if failure is None and not verdicts[name]:
             i = int(np.argmin(held))
-            failure = (name, (int(a[i]), int(b[i]), int(c[i])))
-    return verdicts, failure, trials
-
-
-def _chunk_at_once_triples(n, laws):
-    """Reference: each chunk of _CHUNK // n^2 values of a checked at once, in chunk-then-law order."""
-    step = max(1, _CHUNK // (n * n))
-    verdicts, failure = dict.fromkeys(laws, True), None
-    for lo in range(0, n, step):
-        a, b, c = np.ix_(np.arange(lo, min(lo + step, n)), np.arange(n), np.arange(n))
-        for name, law in laws.items():
-            held = np.broadcast_to(law(a, b, c), (a.size, n, n))
-            if verdicts[name] and not held.all():
-                verdicts[name] = False
-                i, j, k = np.unravel_index(np.argmin(held), held.shape)
-                failure = failure or (name, (lo + int(i), int(j), int(k)))
-    return verdicts, failure, n**3
+            failure = (name, tuple(int(t[i]) for t in triple))
+    return verdicts, failure, n**3 if mode == "exhaustive" else trials
 
 
 def _table_laws(T):
@@ -907,30 +899,31 @@ def _table_laws(T):
     seed=st.integers(0, 2**32 - 1),
     extra=st.integers(1, _BLOCK),
 )
-def test_sliced_reports_match_checking_each_chunk_at_once(table, at, source, seed, extra):
+def test_sliced_reports_match_checking_at_once(table, at, source, seed, extra):
     T = _corrupted_d106(table, at, source)
     trials = 2 * _BLOCK + extra
     pair, triple = _table_laws(T)
-    for laws in (pair, triple):
-        assert _check_triples(106, laws, "exhaustive", 0, 0) == _chunk_at_once_triples(106, laws)
-    want_pair = _one_shot_triples(106, pair, trials, seed)
-    want_triple = _one_shot_triples(106, triple, trials, seed)
-    assert _check_triples(106, pair, "sampled", trials, seed) == want_pair
-    assert _check_triples(106, triple, "sampled", trials, seed) == want_triple
-    report = check_axioms(T, mode="sampled", trials=trials, seed=seed)
-    assert report.trials == trials
-    assert {name: report.checks[name] for name in {**pair, **triple}} == {**want_pair[0], **want_triple[0]}
-    if all(report.checks[name] for name in _LINEAR_OK):
-        if want_pair[1] is not None:
-            assert report.counterexample == (want_pair[1][0], want_pair[1][1][:2])
-        else:
-            assert report.counterexample == want_triple[1]
+    laws = {**pair, **triple}
+    for mode in ("exhaustive", "sampled"):
+        for part in (pair, triple):
+            want = _at_once_triples(106, part, mode, trials, seed)
+            assert _check_triples(106, part, mode, trials, seed) == want
+        verdicts, failure, _ = _at_once_triples(106, laws, mode, trials, seed)
+        report = check_axioms(T, mode=mode, trials=trials, seed=seed)
+        assert report.trials == (0 if mode == "exhaustive" else trials)
+        assert {name: report.checks[name] for name in laws} == verdicts
+        if all(report.checks[name] for name in _LINEAR_OK):
+            if failure is None:
+                assert report.counterexample is None
+            else:
+                name, where = failure
+                assert report.counterexample == (name, where[:2] if name in pair else where)
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_failure_is_the_first_failing_law_not_the_first_failing_slice(mode):
-    # in the first chunk, the first law fails only past its first two slices
-    # and the second law already in the first slice
+    # the first law fails only past the first two slices, the second law
+    # already in the first slice
     n, trials, seed = 106, 3 * _BLOCK, 5
     _, triple = _table_laws(_corrupted_d106(0, (60, 70), (60, 71)))
     associative = triple["additive_associativity"]
@@ -951,22 +944,38 @@ def test_failure_is_the_first_failing_law_not_the_first_failing_slice(mode):
     }
     got = _check_triples(n, laws, mode, trials, seed)
     assert got[:2] == ({"needle": False, "additive_associativity": False}, ("needle", needle))
-    if mode == "exhaustive":
-        assert got == _chunk_at_once_triples(n, laws)
-    else:
-        assert got == _one_shot_triples(n, laws, trials, seed)
+    assert got == _at_once_triples(n, laws, mode, trials, seed)
 
 
-def test_exhaustive_slices_keep_to_their_chunk():
-    # at n = 100 a chunk holds 50 values of a and a slice 3, so each chunk ends in a short slice
+def test_exhaustive_report_is_the_first_failing_law_anywhere():
+    # at n = 100 a slice holds 3 values of a: "early" fails in the 4th slice, "late" in the 17th
     n = 100
     laws = {
         "late": lambda a, b, c: (a != 50) | (b != 0) | (c != 0),
         "early": lambda a, b, c: (a != 10) | (b != 0) | (c != 0),
     }
     got = _check_triples(n, laws, "exhaustive", 0, 0)
-    assert got == ({"late": False, "early": False}, ("early", (10, 0, 0)), n**3)
-    assert got == _chunk_at_once_triples(n, laws)
+    assert got == ({"late": False, "early": False}, ("late", (50, 0, 0)), n**3)
+    assert got == _at_once_triples(n, laws, "exhaustive")
+
+
+def test_sampled_axioms_walk_and_draw_once(cf72, monkeypatch):
+    calls = []
+    draw, walk = bracekit.braces._draw_triples, bracekit.braces._check_triples
+
+    def counted_draw(n, trials, seed):
+        calls.append(("draw", n, trials, seed))
+        return draw(n, trials, seed)
+
+    def counted_walk(n, laws, mode, trials, seed):
+        calls.append(("walk", list(laws), mode))
+        return walk(n, laws, mode, trials, seed)
+
+    monkeypatch.setattr(bracekit.braces, "_draw_triples", counted_draw)
+    monkeypatch.setattr(bracekit.braces, "_check_triples", counted_walk)
+    assert check_axioms(cf72, mode="sampled", trials=5_000, seed=3).ok
+    laws = ["additive_commutativity", "additive_associativity", "multiplicative_associativity", "compatibility"]
+    assert calls == [("walk", laws, "sampled"), ("draw", 72, 5_000, 3)]
 
 
 def _axioms_through_kernels(B, mode, trials=100_000, seed=0):

@@ -143,7 +143,7 @@ def _braid_violating(n, lo, seed):
 
 
 # Both reports were captured before the exhaustive and sampled checkers were
-# merged; the first braid failure at n = 150 lies past the first chunk.
+# merged; at n = 150 a slice holds one value of a, and the first braid failure has a = 120.
 def test_pinned_braid_reports():
     report = check_solution(_braid_violating(150, 120, 1))
     assert report == SolutionReport(
@@ -237,6 +237,10 @@ def test_import_error_paths():
         import_solution(b"YBE v1 N=1\nx\n\n0\n")
     with pytest.raises(SolutionFormatError, match="after the gamma"):
         import_solution(b"YBE v1 N=1\n0\n\n0\n0\n")
+    with pytest.raises(SolutionFormatError, match="at least 1"):
+        import_solution(b"YBE v1 N=0\n\n")
+    with pytest.raises(SolutionFormatError, match="ASCII"):
+        import_solution("YBE v1 N=1\n0\n\n0\n".encode("utf-16"))
 
 
 def test_import_from_stream(cf72_solution):
