@@ -51,7 +51,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, ConditionViolationError, IncompleteLatticeError
+from .errors import (
+    ActionNotAutomorphismError,
+    BudgetExceededError,
+    ConditionViolationError,
+    IncompleteLatticeError,
+)
 
 __all__ = [
     "FiniteBrace",
@@ -535,7 +540,6 @@ class AsymmetricProductBrace(FiniteBrace):
         self._alpha_table: Optional[np.ndarray] = None
         self._gen_powers = [self._power_table(self._gens[l], int(self._sm[l])) for l in range(ds)]
         self._validate()
-        self._d = d
         # a t row is a sum of two coordinates; an s row is a sum of two
         # coordinates and one pairing value, each below its modulus
         self._residues = _Residues(logical_moduli, np.repeat([2, 3], [dt, ds]))
@@ -721,8 +725,6 @@ class SemidirectProductBrace(FiniteBrace):
         super().__init__(A.order * B.order)
 
     def _verify_action(self) -> None:
-        from .errors import ActionNotAutomorphismError
-
         nA, nB = self.A.order, self.B.order
         ident = np.arange(nA, dtype=np.int64)
         for b in range(nB):
@@ -1160,9 +1162,8 @@ def ideal_closure(
         raise ValueError(f"unknown mode {mode!r}")
     two_sided = mode == "two_sided"
     seed_arr = np.atleast_1d(np.asarray(seeds, dtype=np.int64)).ravel()
-    outside = seed_arr[(seed_arr < 0) | (seed_arr >= B.order)]
-    if outside.size:
-        raise ValueError(f"seed {int(outside[0])} outside carrier")
+    if not _carrier_members(B, seed_arr)[1]:
+        raise ValueError(f"seeds outside the carrier of order {B.order}")
     span = _AdditiveSpan(B)
     span.insert_many(seed_arr)
 

@@ -112,12 +112,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("export", "derive and export the YBE solution table", "--spec", "--out", "--seed")
     p.add_argument("--samples", type=int, default=1_000_000, help="braid triples when sampled")
 
-    p = add_parser(
+    add_parser(
         "prime-example",
         "build and verify the prime non-simple product",
-        "--out", "--budget", "--seed", "--json",
+        "--out", "--budget", "--json",
     )
-    p.add_argument("--samples", type=int, default=200, help="random closure seeds per side")
 
     return parser
 
@@ -251,7 +250,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_prime_example(args) -> int:
-    out = verify_prime_example(samples=args.samples, seed=args.seed, budget=args.budget)
+    out = verify_prime_example(budget=args.budget)
     _emit(_render(out, args.json), args.out)
     return 0 if all(v for v in out["checks"].values() if isinstance(v, bool)) else 1
 

@@ -1593,6 +1593,15 @@ def test_ideal_record_contains_only_carrier_indices():
     assert not rec.contains([3, -3])
 
 
+def test_ideal_closure_rejects_seeds_outside_the_carrier(cf72):
+    for B in (TrivialBrace([6]), cf72):
+        for seeds in ([-1], [B.order], [0, B.order]):
+            with pytest.raises(ValueError, match=f"carrier of order {B.order}"):
+                ideal_closure(B, seeds)
+    # seeds are recorded in the order given: list_ideals joins reuse them
+    assert ideal_closure(TrivialBrace([6]), [3, 2]).seeds == (3, 2)
+
+
 def test_prime_check_rejects_lattice_entries_outside_the_carrier():
     B = TrivialBrace([6])
     with pytest.raises(IncompleteLatticeError, match="outside the carrier"):

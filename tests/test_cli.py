@@ -1,7 +1,7 @@
 """Command-line behavior: exit codes, deterministic output, file round-trips.
 
-The prime-example subcommand is exercised with a tiny sample count here; the
-full-scale run lives in the acceptance suite.
+The prime-example subcommand runs here as the CLI runs it, with no flags; the
+acceptance suite cross-checks its lattice with its own seeded closures.
 """
 
 import hashlib
@@ -89,6 +89,9 @@ def test_bad_flags_exit_two(capsys):
         ["export", "--spec", CF72, "--json"],
         ["witness", "--p", "2", "--p1", "3", "--json"],
         ["prime-example", "--full"],
+        ["prime-example", "--samples", "0"],
+        ["prime-example", "--samples", "-1", "--json"],
+        ["prime-example", "--seed", "1"],
     ],
 )
 def test_flags_no_handler_reads_exit_two(argv, capsys):
@@ -99,8 +102,6 @@ def test_flags_no_handler_reads_exit_two(argv, capsys):
     "argv",
     [
         ["export", "--spec", NS216, "--samples", "0"],
-        ["prime-example", "--samples", "0"],
-        ["prime-example", "--samples", "-1", "--json"],
     ],
 )
 def test_samples_below_one_exit_two(argv, capsysbinary):
@@ -224,8 +225,8 @@ def test_out_flag_writes_reports(tmp_path):
     assert json.loads(dest.read_text())["order"] == 72
 
 
-def test_prime_example_small_sample(capsys):
-    code = run(["prime-example", "--samples", "3", "--seed", "1", "--json"])
+def test_prime_example(capsys):
+    code = run(["prime-example", "--json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["order"] == 92160
@@ -234,3 +235,6 @@ def test_prime_example_small_sample(capsys):
     assert out["checks"]["inner_is_ideal"] is True
     assert out["checks"]["inner_star_reproduces"] is True
     assert out["checks"]["lattice_size"] == 3
+    assert sorted(out["checks"]) == [
+        "inner_is_ideal", "inner_star_reproduces", "lattice_size", "order", "prime"
+    ]

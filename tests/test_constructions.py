@@ -369,9 +369,11 @@ def test_prime_example_build():
     assert B.B.order == 5
 
 
-def test_verify_prime_example_needs_a_sample():
-    with pytest.raises(ValueError, match="at least 1"):
-        verify_prime_example(samples=0)
+def test_verify_prime_example_decides_from_the_lattice():
+    out = verify_prime_example()
+    assert out["checks"]["lattice_size"] == 3
+    assert not [key for key in out["checks"] if "seeds" in key]
+    assert out["simple"] is False and out["prime"] is True
 
 
 def test_prime_example_inner_ideal():

@@ -2,8 +2,6 @@
 
 Each demo runs in a fresh interpreter with a temporary working directory, so
 a name or flag it still uses after being deleted from the package fails here.
-``prime_example.py`` takes about a minute and is left to the acceptance suite,
-which checks the same verification.
 """
 
 import os
@@ -20,6 +18,7 @@ QUICK_DEMOS = [
     "group_structure.py",
     "matrix_vs_cycle.py",
     "nonsimple_witness.py",
+    "prime_example.py",
     "ybe_export.py",
 ]
 
