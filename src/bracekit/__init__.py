@@ -7,192 +7,22 @@ groups, computes witness-dimension bounds, and derives and serializes the
 associated set-theoretic Yang-Baxter solution tables.
 """
 
-from .errors import (
-    ActionNotAutomorphismError,
-    AxiomsNotVerifiedError,
-    BelowBoundError,
-    BracekitError,
-    BudgetExceededError,
-    CapExceededError,
-    ConditionViolationError,
-    IncompleteLatticeError,
-    KindPrimeMismatchError,
-    NoWitnessError,
-    NotAUnitError,
-    NotInvertibleError,
-    SchemaError,
-    SingularMatrixError,
-    SolutionFormatError,
-)
-from .modular import (
-    BilinearForm,
-    OrthogonalMap,
-    Residue,
-    ResidueMatrix,
-    companion_cyclotomic,
-    hyperbolic_witness,
-    is_orthogonal,
-    is_prime,
-    matrix_order,
-    minus_id_bijective,
-    nullspace_mod,
-    unit_order,
-)
-from .braces import (
-    AsymmetricProductBrace,
-    AxiomReport,
-    BraceElement,
-    FiniteBrace,
-    IdealRecord,
-    PrimeResult,
-    SemidirectProductBrace,
-    SimplicityResult,
-    TableBrace,
-    TrivialBrace,
-    additive_generators,
-    check_axioms,
-    ideal_closure,
-    is_ideal,
-    is_left_ideal,
-    is_prime_brace,
-    is_simple,
-    list_ideals,
-    star_span,
-    tabulate,
-)
-from .construct import (
-    BlockData,
-    CycleFamilySpec,
-    FamilyBlock,
-    FamilyReport,
-    MatrixFamilySpec,
-    build_family,
-    build_prime_example,
-    dump_spec,
-    family_order,
-    load_spec,
-    nonsimple_witness,
-    parse_spec,
-    solve_exponents,
-    validate_spec,
-    verify_prime_example,
-)
-from .groupinfo import (
-    GroupReport,
-    derived_subgroup,
-    group_report,
-    is_A_group,
-    is_abelian,
-    is_metabelian,
-    multiplicative_closure,
-    sylow_left_ideals,
-)
-from .bounds import (
-    KINDS,
-    BoundsReport,
-    divides_orthogonal_order,
-    exponent_lower_bounds,
-    find_orthogonal_element,
-    minimal_witness_dimension,
-    nu,
-    orthogonal_group_order,
-    witness_block,
-)
-from .ybe import (
-    SolutionReport,
-    SolutionTable,
-    check_solution,
-    export_solution,
-    import_solution,
-    solution_from_brace,
-)
+from .errors import *
+from .modular import *
+from .braces import *
+from .construct import *
+from .groupinfo import *
+from .bounds import *
+from .ybe import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionNotAutomorphismError",
-    "AsymmetricProductBrace",
-    "AxiomReport",
-    "AxiomsNotVerifiedError",
-    "BelowBoundError",
-    "BilinearForm",
-    "BlockData",
-    "BoundsReport",
-    "BraceElement",
-    "BracekitError",
-    "BudgetExceededError",
-    "CapExceededError",
-    "ConditionViolationError",
-    "CycleFamilySpec",
-    "FamilyBlock",
-    "FamilyReport",
-    "FiniteBrace",
-    "GroupReport",
-    "IdealRecord",
-    "IncompleteLatticeError",
-    "KINDS",
-    "KindPrimeMismatchError",
-    "MatrixFamilySpec",
-    "NoWitnessError",
-    "NotAUnitError",
-    "NotInvertibleError",
-    "OrthogonalMap",
-    "PrimeResult",
-    "Residue",
-    "ResidueMatrix",
-    "SchemaError",
-    "SemidirectProductBrace",
-    "SimplicityResult",
-    "SingularMatrixError",
-    "SolutionFormatError",
-    "SolutionReport",
-    "SolutionTable",
-    "TableBrace",
-    "TrivialBrace",
-    "additive_generators",
-    "build_family",
-    "build_prime_example",
-    "check_axioms",
-    "check_solution",
-    "companion_cyclotomic",
-    "derived_subgroup",
-    "divides_orthogonal_order",
-    "dump_spec",
-    "exponent_lower_bounds",
-    "export_solution",
-    "family_order",
-    "find_orthogonal_element",
-    "group_report",
-    "hyperbolic_witness",
-    "ideal_closure",
-    "import_solution",
-    "is_A_group",
-    "is_abelian",
-    "is_ideal",
-    "is_left_ideal",
-    "is_metabelian",
-    "is_orthogonal",
-    "is_prime",
-    "is_prime_brace",
-    "is_simple",
-    "list_ideals",
-    "load_spec",
-    "matrix_order",
-    "minimal_witness_dimension",
-    "minus_id_bijective",
-    "multiplicative_closure",
-    "nonsimple_witness",
-    "nu",
-    "nullspace_mod",
-    "orthogonal_group_order",
-    "parse_spec",
-    "solution_from_brace",
-    "solve_exponents",
-    "star_span",
-    "sylow_left_ideals",
-    "tabulate",
-    "unit_order",
-    "validate_spec",
-    "verify_prime_example",
-    "witness_block",
+    *errors.__all__,
+    *modular.__all__,
+    *braces.__all__,
+    *construct.__all__,
+    *groupinfo.__all__,
+    *bounds.__all__,
+    *ybe.__all__,
 ]

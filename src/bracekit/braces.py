@@ -78,6 +78,7 @@ __all__ = [
     "list_ideals",
     "star_span",
     "additive_generators",
+    "multiplicative_closure",
     "is_prime_brace",
 ]
 

@@ -65,6 +65,7 @@ __all__ = [
     "load_spec",
     "dump_spec",
     "validate_spec",
+    "family_order",
     "build_family",
     "nonsimple_witness",
     "build_prime_example",

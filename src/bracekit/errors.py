@@ -6,6 +6,24 @@ malformed solution files, unmet construction conditions) to exit code 2 and
 everything else to exit code 1.
 """
 
+__all__ = [
+    "BracekitError",
+    "SingularMatrixError",
+    "NotInvertibleError",
+    "CapExceededError",
+    "NotAUnitError",
+    "BudgetExceededError",
+    "ConditionViolationError",
+    "SchemaError",
+    "NoWitnessError",
+    "ActionNotAutomorphismError",
+    "IncompleteLatticeError",
+    "KindPrimeMismatchError",
+    "BelowBoundError",
+    "AxiomsNotVerifiedError",
+    "SolutionFormatError",
+]
+
 
 class BracekitError(Exception):
     """Base class for all bracekit errors."""

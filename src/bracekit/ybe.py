@@ -29,7 +29,10 @@ __all__ = [
     "solution_from_brace",
 ]
 
-_HEADER = re.compile(r"^YBE v1 N=(\d+)$")
+# export_solution writes each number in canonical decimal: no sign, no leading zero
+_DECIMAL = r"(?:0|[1-9][0-9]*)"
+_HEADER = re.compile(f"YBE v1 N=({_DECIMAL})")
+_ROW = re.compile(f"{_DECIMAL}(?: {_DECIMAL})*")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +220,10 @@ def _parse_row(line: str, n: int, what: str, lineno: int) -> list[int]:
         raise SolutionFormatError(
             f"line {lineno}: expected {n} {what} entries, got {len(parts)}"
         )
-    try:
-        row = [int(p) for p in parts]
-    except ValueError as exc:
-        raise SolutionFormatError(f"line {lineno}: non-integer entry") from exc
-    if any(v < 0 or v >= n for v in row):
+    if _ROW.fullmatch(line) is None:
+        raise SolutionFormatError(f"line {lineno}: entries must be canonical decimal integers")
+    row = [int(p) for p in parts]
+    if any(v >= n for v in row):
         raise SolutionFormatError(f"line {lineno}: entry out of range [0, {n})")
     return row
 
@@ -239,9 +241,10 @@ def import_solution(source) -> SolutionTable:
     if not text.isascii():
         raise SolutionFormatError("the text form holds ASCII characters only")
     lines = text.split("\n")
-    if not lines or _HEADER.match(lines[0]) is None:
+    header = _HEADER.fullmatch(lines[0])
+    if header is None:
         raise SolutionFormatError("missing or malformed 'YBE v1 N=<N>' header")
-    n = int(_HEADER.match(lines[0]).group(1))
+    n = int(header.group(1))
     if n == 0:
         raise SolutionFormatError("the header must give N of at least 1")
     expected = 1 + n + 1 + n

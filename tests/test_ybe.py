@@ -233,8 +233,17 @@ def test_import_error_paths():
         import_solution(b"YBE v1 N=1\n0\n0\n0\n")
     with pytest.raises(SolutionFormatError, match="out of range"):
         import_solution(b"YBE v1 N=1\n4\n\n0\n")
-    with pytest.raises(SolutionFormatError, match="non-integer"):
+    with pytest.raises(SolutionFormatError, match="canonical decimal"):
         import_solution(b"YBE v1 N=1\nx\n\n0\n")
+    # export writes canonical decimals only, so each other spelling of 0 is rejected
+    for entry in (b"+0", b"-0", b"00", b"0_0"):
+        with pytest.raises(SolutionFormatError, match="canonical decimal"):
+            import_solution(b"YBE v1 N=1\n" + entry + b"\n\n0\n")
+        with pytest.raises(SolutionFormatError, match="canonical decimal"):
+            import_solution(b"YBE v1 N=2\n0 1\n1 0\n\n0 1\n" + entry + b" 0\n")
+    for header in (b"N=01", b"N=+1", b"N=1 ", b"N= 1"):
+        with pytest.raises(SolutionFormatError, match="header"):
+            import_solution(b"YBE v1 " + header + b"\n0\n\n0\n")
     with pytest.raises(SolutionFormatError, match="after the gamma"):
         import_solution(b"YBE v1 N=1\n0\n\n0\n0\n")
     with pytest.raises(SolutionFormatError, match="at least 1"):
