@@ -109,8 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=int, required=True, help="required map order")
     p.add_argument("--dim", type=int, help="dimension (default: the minimal one)")
 
-    p = add_parser("export", "derive and export the YBE solution table", "--spec", "--out", "--seed")
-    p.add_argument("--samples", type=int, default=1_000_000, help="braid triples when sampled")
+    add_parser("export", "derive and export the YBE solution table", "--spec", "--out", "--seed")
 
     add_parser(
         "prime-example",
@@ -237,7 +236,7 @@ def _cmd_export(args) -> int:
         print("axiom check failed; not exporting", file=sys.stderr)
         return 1
     table = solution_from_brace(B)
-    report = check_solution(table, trials=args.samples, seed=args.seed)
+    report = check_solution(table, seed=args.seed)
     if not report.ok:
         print(f"solution checks failed: {report}", file=sys.stderr)
         return 1
@@ -274,9 +273,6 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     if getattr(args, "budget", 1) < 1:
         print("error: budgets must be positive", file=sys.stderr)
-        return 2
-    if getattr(args, "samples", 1) < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
         return 2
     try:
         return _HANDLERS[args.command](args)

@@ -8,12 +8,16 @@ block z by powers of f. Two slot shapes are supported and selected by the
 spec type:
 
 * cycle family: T_z is m_z slots of V_z; the pairing sends slot i to
-  s-coordinate i for i below r_z and the sum of all slots to the last
+  s-coordinate i for i below r_z - 1 and the sum of all slots to the last
   s-coordinate; the generator for s-coordinate i of block z-1 applies f to
-  slot i alone (i below r_{z-1}) or to every slot (i = r_{z-1}).
+  slot i alone (i below r_{z-1} - 1) or to every slot (the last i).
 * matrix family: T_z is an r_z x r_{z-1} grid of V_z slots; s-coordinate i
   collects the sum of row i, and the generator for s-coordinate j of block
   z-1 applies f down column j.
+
+The two shapes differ only in these slot lists, which ``_slot_groups``
+gives for each s-coordinate; one assembly loop turns them into the pairing
+and the action.
 
 Either shape assembles into an AsymmetricProductBrace whose carrier
 interleaves each block's t-coordinates directly before its s-coordinates, so
@@ -208,6 +212,23 @@ def _slot_count(spec: FamilySpec, z: int) -> int:
     return b.r * spec.blocks[z - 1].r
 
 
+def _slot_groups(spec: FamilySpec, z: int) -> list[tuple[list, list]]:
+    """(paired, moved) slot lists for each s-coordinate i of block z.
+
+    Pairing component i sums the form over the ``paired`` slots of block z,
+    and action generator i applies f to the ``moved`` slots of block z+1.
+    Cycle shape: slot i alone for i < r_z - 1, every slot for the last
+    coordinate. Matrix shape: row i of block z's r_z x r_{z-1} grid, and
+    column i of block z+1's r_{z+1} x r_z grid.
+    """
+    r, w = spec.blocks[z].r, (z + 1) % spec.n
+    if spec.kind == "cycle":
+        every = (list(range(spec.blocks[z].m)), list(range(spec.blocks[w].m)))
+        return [([i], [i]) for i in range(r - 1)] + [every]
+    cols, rows = spec.blocks[z - 1].r, spec.blocks[w].r
+    return [(list(range(i * cols, (i + 1) * cols)), list(range(i, rows * r, r))) for i in range(r)]
+
+
 def family_order(spec: FamilySpec) -> int:
     return prod(
         b.p ** (b.dim * _slot_count(spec, z) + b.r) for z, b in enumerate(spec.blocks)
@@ -337,42 +358,21 @@ def _assemble(spec: FamilySpec):
         return slice(base, base + dims[z])
 
     pairing = np.zeros((dS, dT, dT), dtype=np.int64)
+    action = np.tile(np.eye(dT, dtype=np.int64), (dS, 1, 1))
     for z, b in enumerate(spec.blocks):
-        gram = np.asarray(b.gram, dtype=np.int64)
-        if spec.kind == "cycle":
-            for i in range(r[z] - 1):
-                pairing[int(s_off[z]) + i, slot_cols(z, i), slot_cols(z, i)] += gram
-            for j in range(slot_counts[z]):
-                pairing[int(s_off[z]) + r[z] - 1, slot_cols(z, j), slot_cols(z, j)] += gram
-        else:
-            cols = spec.blocks[z - 1].r
-            for i in range(r[z]):
-                for j in range(cols):
-                    slot = i * cols + j
-                    pairing[int(s_off[z]) + i, slot_cols(z, slot), slot_cols(z, slot)] += gram
-
-    action = np.zeros((dS, dT, dT), dtype=np.int64)
-    ident = np.eye(dT, dtype=np.int64)
-    for z in range(n):
         w = (z + 1) % n  # the block this block's s-part acts on
+        gram = np.asarray(b.gram, dtype=np.int64)
         fw = np.asarray(spec.blocks[w].f, dtype=np.int64)
-        for i in range(r[z]):
-            g = ident.copy()
-            if spec.kind == "cycle":
-                if i < r[z] - 1:
-                    targets = [i]
-                else:
-                    targets = list(range(slot_counts[w]))
-            else:
-                rows = spec.blocks[w].r
-                targets = [ii * r[z] + i for ii in range(rows)]
-            for j in targets:
+        for i, (paired, moved) in enumerate(_slot_groups(spec, z)):
+            k = int(s_off[z]) + i
+            for j in paired:
+                pairing[k, slot_cols(z, j), slot_cols(z, j)] += gram
+            for j in moved:
                 if j >= slot_counts[w]:
                     raise ConditionViolationError(
                         f"blocks[{w}]: needs at least {j + 1} slots to receive the action"
                     )
-                g[slot_cols(w, j), slot_cols(w, j)] = fw
-            action[int(s_off[z]) + i] = g
+                action[k, slot_cols(w, j), slot_cols(w, j)] = fw
 
     layout = []
     for z in range(n):

