@@ -53,7 +53,6 @@ import numpy as np
 
 from .errors import (
     ActionNotAutomorphismError,
-    BudgetExceededError,
     ConditionViolationError,
     IncompleteLatticeError,
 )
@@ -724,24 +723,31 @@ class SemidirectProductBrace(FiniteBrace):
         super().__init__(A.order * B.order)
 
     def _verify_action(self) -> None:
-        nA, nB = self.A.order, self.B.order
-        ident = np.arange(nA, dtype=np.int64)
-        for b in range(nB):
-            row = self.act[b]
-            if np.any(row < 0) or np.any(row >= nA) or np.bincount(row, minlength=nA).max() > 1:
-                raise ActionNotAutomorphismError(f"row {b} is not a permutation")
-        if not np.array_equal(self.act[self.B.zero()], ident):
+        """Check that b -> act_b is a homomorphism from (B, .) to the automorphisms of A.
+
+        The rows must be permutations and act_e = id. Then act_{bg} = act_b o act_g
+        for every b and every multiplicative generator g gives act_{xy} =
+        act_x o act_y for all x and y, by induction on the length of y as a word
+        in the generators (in a finite group they reach every element without
+        inverses): act_{xy'g} = act_{xy'} o act_g = act_x o act_{y'} o act_g =
+        act_x o act_{y'g}. The automorphism laws are checked on the generators'
+        rows only, which then covers every row.
+        """
+        all_a = np.arange(self.A.order, dtype=np.int64)
+        # a row is a permutation of A's carrier exactly when it sorts to 0..|A|-1
+        bad = (np.sort(self.act, axis=1) != all_a).any(axis=1)
+        if bad.any():
+            raise ActionNotAutomorphismError(f"row {int(np.argmax(bad))} is not a permutation")
+        if not np.array_equal(self.act[self.B.zero()], all_a):
             raise ActionNotAutomorphismError("identity of B must act trivially")
-        bs = np.arange(nB, dtype=np.int64)
-        pairs = self.B.mul(bs[:, None], bs[None, :])
-        # composed[i, j, a] = act_{b_i}(act_{b_j}(a)); must match act_{b_i b_j}(a)
-        composed = self.act[bs[:, None, None], self.act[None, :, :]]
-        if not np.array_equal(self.act[pairs], composed):
-            raise ActionNotAutomorphismError("action is not a homomorphism on B")
-        all_a = np.arange(nA, dtype=np.int64)
+        b_gens = self.B.multiplicative_generators().tolist()
+        every_b = self.B.elements()
+        for g in b_gens:
+            if not np.array_equal(self.act[self.B.mul(every_b, g)], self.act[:, self.act[g]]):
+                raise ActionNotAutomorphismError("action is not a homomorphism on B")
         add_gens = additive_generators(self.A)
         mul_gens = self.A.multiplicative_generators()
-        for b in map(int, self.B.multiplicative_generators()):
+        for b in b_gens:
             f = self.act[b]
             for g in map(int, add_gens):
                 if not np.array_equal(f[self.A.add(g, all_a)], self.A.add(f[g], f[all_a])):
@@ -1143,19 +1149,14 @@ def _record_from_span(span: _AdditiveSpan, seeds, two_sided: bool) -> IdealRecor
     )
 
 
-def ideal_closure(
-    B: FiniteBrace,
-    seeds,
-    mode: str = "two_sided",
-    budget: int = 1_000_000,
-) -> IdealRecord:
+def ideal_closure(B: FiniteBrace, seeds, mode: str = "two_sided") -> IdealRecord:
     """Smallest (left) ideal containing ``seeds``.
 
     Fixpoint of three closures: additive span, lambda images, and (for
     two-sided ideals) conjugation, the latter two taken over a multiplicative
     generating set of B, which suffices because both kinds of maps compose
-    multiplicatively in the subscript. Raises BudgetExceededError if the
-    closure outgrows ``budget`` before completing.
+    multiplicatively in the subscript. The span only grows and the carrier
+    bounds it, so the loop reaches the fixpoint.
     """
     if mode not in ("left", "two_sided"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -1169,8 +1170,6 @@ def ideal_closure(
     tables = _ideal_maps(B, two_sided)
     ptr = 0
     while ptr < span.size and span.size < B.order:
-        if span.size > budget:
-            raise BudgetExceededError(f"closure exceeded budget {budget}")
         batch = span.members[ptr:]
         ptr = span.size
         for table in tables:
@@ -1277,7 +1276,7 @@ class SimplicityResult:
     closures_run: int
 
 
-def is_simple(B: FiniteBrace, budget: int = 1_000_000) -> SimplicityResult:
+def is_simple(B: FiniteBrace) -> SimplicityResult:
     """Exhaustive test: the closure of every nonzero element must be everything.
 
     Any closure that stalls below the full carrier is returned as a
@@ -1289,7 +1288,7 @@ def is_simple(B: FiniteBrace, budget: int = 1_000_000) -> SimplicityResult:
     for x in range(B.order):
         if x == B.zero():
             continue
-        rec = ideal_closure(B, [x], mode="two_sided", budget=budget)
+        rec = ideal_closure(B, [x], mode="two_sided")
         closures += 1
         if rec.size != B.order:
             return SimplicityResult(False, rec, closures)
@@ -1308,14 +1307,14 @@ def _orbit_labels(B: FiniteBrace) -> np.ndarray:
     return label
 
 
-def list_ideals(B: FiniteBrace, budget: int = 1_000_000) -> list[IdealRecord]:
+def list_ideals(B: FiniteBrace) -> list[IdealRecord]:
     """All ideals: one closure per ideal-map orbit (closures are constant on orbits), then joins."""
-    zero_rec = ideal_closure(B, [], mode="two_sided", budget=budget)
+    zero_rec = ideal_closure(B, [], mode="two_sided")
     found: dict[bytes, IdealRecord] = {zero_rec.key(): zero_rec}
     for x in np.flatnonzero(_orbit_labels(B) == B.elements()).tolist():
         if x == B.zero():
             continue
-        rec = ideal_closure(B, [x], mode="two_sided", budget=budget)
+        rec = ideal_closure(B, [x], mode="two_sided")
         found.setdefault(rec.key(), rec)
     # close under joins: the join of two ideals is the closure of both seed sets
     changed = True
@@ -1327,9 +1326,7 @@ def list_ideals(B: FiniteBrace, budget: int = 1_000_000) -> list[IdealRecord]:
                 a, b = records[i], records[j]
                 if a.contains(b.members) or b.contains(a.members):
                     continue
-                joined = ideal_closure(
-                    B, list(a.seeds) + list(b.seeds), mode="two_sided", budget=budget
-                )
+                joined = ideal_closure(B, list(a.seeds) + list(b.seeds), mode="two_sided")
                 if joined.key() not in found:
                     found[joined.key()] = joined
                     changed = True
@@ -1447,13 +1444,7 @@ class PrimeResult:
     witness_pair: Optional[tuple]
 
 
-def is_prime_brace(
-    B: FiniteBrace,
-    lattice,
-    spot_checks: int = 8,
-    seed: int = 0,
-    budget: int = 1_000_000,
-) -> PrimeResult:
+def is_prime_brace(B: FiniteBrace, lattice, spot_checks: int = 8, seed: int = 0) -> PrimeResult:
     """Primeness given the full ideal lattice: every product of nonzero ideals is nonzero.
 
     The caller supplies the lattice (as IdealRecords or member arrays); it
@@ -1483,7 +1474,7 @@ def is_prime_brace(
     rng = np.random.default_rng(seed)
     nonzero = np.delete(B.elements(), B.zero())
     for x in nonzero[rng.integers(0, B.order - 1, size=spot_checks)]:
-        rec = ideal_closure(B, [int(x)], mode="two_sided", budget=budget)
+        rec = ideal_closure(B, [int(x)], mode="two_sided")
         if rec.key() not in keys:
             raise IncompleteLatticeError(
                 f"closure of element {int(x)} (size {rec.size}) is missing from the lattice"

@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     flags = {
         "--spec": dict(required=True, help="path to a family spec JSON file"),
         "--out": dict(help="write the result here instead of standard output"),
-        "--budget": dict(type=int, default=1_000_000, help="closure/search budget"),
+        "--budget": dict(type=int, default=1_000_000, help="witness search budget"),
         "--seed": dict(type=int, default=0, help="seed for sampled checks"),
         "--json": dict(action="store_true", help="emit machine-readable JSON"),
     }
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser(
         "verify",
         "axiom-check a family brace and test simplicity",
-        "--spec", "--out", "--budget", "--seed", "--json",
+        "--spec", "--out", "--seed", "--json",
     )
     p.add_argument(
         "--expect-simple",
@@ -95,9 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 1 unless the brace is verified simple",
     )
 
-    add_parser(
-        "analyze", "multiplicative group structure report", "--spec", "--out", "--budget", "--json"
-    )
+    add_parser("analyze", "multiplicative group structure report", "--spec", "--out", "--json")
 
     p = add_parser(
         "bounds", "unit orders and exponent lower bounds for a prime cycle", "--out", "--json"
@@ -112,9 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_parser("export", "derive and export the YBE solution table", "--spec", "--out", "--seed")
 
     add_parser(
-        "prime-example",
-        "build and verify the prime non-simple product",
-        "--out", "--budget", "--json",
+        "prime-example", "build and verify the prime non-simple product", "--out", "--json"
     )
 
     return parser
@@ -177,7 +173,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     report, B = _build_valid_spec(args)
     axioms = check_axioms(B, mode="auto", seed=args.seed)
-    result = is_simple(B, budget=args.budget)
+    result = is_simple(B)
     out = {
         "kind": report.kind,
         "order": B.order,
@@ -209,7 +205,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_analyze(args) -> int:
     _, B = _build_valid_spec(args)
-    report = group_report(B, budget=args.budget)
+    report = group_report(B)
     _emit(_render(report.as_dict(), args.json), args.out)
     return 0
 
@@ -249,7 +245,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_prime_example(args) -> int:
-    out = verify_prime_example(budget=args.budget)
+    out = verify_prime_example()
     _emit(_render(out, args.json), args.out)
     return 0 if all(v for v in out["checks"].values() if isinstance(v, bool)) else 1
 

@@ -252,8 +252,9 @@ def validate_spec(spec: FamilySpec) -> FamilyReport:
 
     Conditions: at least two blocks with pairwise distinct primes; each gram
     symmetric and non-singular; each f orthogonal for its gram with order
-    exactly the preceding block's prime; and for the cycle shape, every
-    m_z at least max(r_z, r_{z-1}).
+    exactly the preceding block's prime; and a slot count m_z on every
+    block of the cycle shape, at least max(r_z, r_{z-1}), and on none of the
+    matrix shape.
     """
     failures: list[str] = []
     n = spec.n
@@ -269,6 +270,12 @@ def validate_spec(spec: FamilySpec) -> FamilyReport:
         info = {"p": b.p, "dim": b.dim, "r": b.r, "slots": None, "map_order": None,
                 "minus_id_bijective": None}
         block_infos.append(info)
+        if spec.kind == "cycle" and b.m is None:
+            failures.append(f"{path}.m: the cycle shape needs a slot count")
+            continue
+        if spec.kind == "matrix" and b.m is not None:
+            failures.append(f"{path}.m: the matrix shape takes no slot count")
+            continue
         if not is_prime(b.p):
             failures.append(f"{path}.p: {b.p} is not prime")
             continue
@@ -492,7 +499,7 @@ def build_prime_example() -> SemidirectProductBrace:
     return SemidirectProductBrace(A, outer, act)
 
 
-def verify_prime_example(budget: int = 1_000_000) -> dict:
+def verify_prime_example() -> dict:
     """Build the order-92160 example and check that it is prime but not simple.
 
     Every verdict comes from the one ideal lattice ``list_ideals`` computes,
@@ -504,9 +511,9 @@ def verify_prime_example(budget: int = 1_000_000) -> dict:
     """
     B = build_prime_example()
     inner = np.arange(B.A.order, dtype=np.int64)
-    lattice = list_ideals(B, budget=budget)
+    lattice = list_ideals(B)
     star = star_span(B, inner, inner)
-    prime = is_prime_brace(B, lattice, budget=budget)
+    prime = is_prime_brace(B, lattice)
     checks = {
         "order": B.order == 92160,
         "inner_is_ideal": any(np.array_equal(r.members, inner) for r in lattice),

@@ -46,7 +46,7 @@ class NotAUnitError(BracekitError):
 
 
 class BudgetExceededError(BracekitError):
-    """A decider was asked to run beyond its configured budget."""
+    """The witness search in ``bounds`` would try more candidates than its budget allows."""
 
 
 class ConditionViolationError(BracekitError):

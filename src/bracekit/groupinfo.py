@@ -26,9 +26,8 @@ from .braces import (
     _ideal_maps,
     _sorted_distinct,
     is_left_ideal,
-    multiplicative_closure,  # not called here: a test patches it to catch a second closure
 )
-from .errors import BudgetExceededError, ConditionViolationError
+from .errors import ConditionViolationError
 
 __all__ = [
     "GroupReport",
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 
-def derived_subgroup(B: FiniteBrace, budget: int = 1_000_000) -> np.ndarray:
+def derived_subgroup(B: FiniteBrace) -> np.ndarray:
     """Sorted members of the derived subgroup of (B, mul).
 
     The derived subgroup is generated by the conjugates of the commutators
@@ -50,8 +49,6 @@ def derived_subgroup(B: FiniteBrace, budget: int = 1_000_000) -> np.ndarray:
     subgroup is the mask that the greedy search for generators of that
     orbit closes.
     """
-    if B.order > budget:
-        raise BudgetExceededError(f"carrier of size {B.order} exceeds the budget of {budget}")
     gens = B.multiplicative_generators()
     inverses = B.inv(gens)
     commutators = B.mul(
@@ -93,9 +90,9 @@ def _is_abelian_subgroup(B: FiniteBrace, members) -> bool:
     return _pairwise_commuting(B, _greedy_generators(B, members)[0])
 
 
-def is_metabelian(B: FiniteBrace, budget: int = 1_000_000) -> bool:
+def is_metabelian(B: FiniteBrace) -> bool:
     """True when the derived subgroup of (B, mul) is abelian."""
-    return _is_abelian_subgroup(B, derived_subgroup(B, budget=budget))
+    return _is_abelian_subgroup(B, derived_subgroup(B))
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -185,8 +182,8 @@ class GroupReport:
         }
 
 
-def group_report(B: FiniteBrace, budget: int = 1_000_000) -> GroupReport:
-    derived = derived_subgroup(B, budget=budget)
+def group_report(B: FiniteBrace) -> GroupReport:
+    derived = derived_subgroup(B)
     sylow = _verified_sylow_records(B)
     return GroupReport(
         is_abelian=is_abelian(B),

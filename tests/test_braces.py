@@ -52,7 +52,6 @@ from bracekit.braces import (
 from bracekit.construct import build_family, build_prime_example, load_spec, parse_spec
 from bracekit.errors import (
     ActionNotAutomorphismError,
-    BudgetExceededError,
     ConditionViolationError,
     IncompleteLatticeError,
 )
@@ -779,6 +778,26 @@ def test_semidirect_action_must_be_homomorphism():
         SemidirectProductBrace(A, B, bad)
 
 
+def test_semidirect_homomorphism_checked_beyond_generator_products():
+    A = TrivialBrace([3])
+    B = TrivialBrace([8])
+    assert B.multiplicative_generators().tolist() == [1]
+    # b -> (-1)^b, except at 7 = 3 * 4, a product of two non-generators that
+    # is neither a generator nor a product of generators taken two at a time
+    assert B.mul(3, 4) == 7
+    perms = [[0, 1, 2] if b % 2 == 0 else [0, 2, 1] for b in range(8)]
+    assert check_axioms(SemidirectProductBrace(A, B, perms), mode="exhaustive").ok
+    perms[7] = [0, 1, 2]
+    with pytest.raises(ActionNotAutomorphismError, match="homomorphism"):
+        SemidirectProductBrace(A, B, perms)
+
+
+def test_semidirect_names_the_first_row_that_is_no_permutation():
+    rows = [[0, 1, 2], [0, 2, 1], [0, 1, 1], [0, 1, 3]]
+    with pytest.raises(ActionNotAutomorphismError, match="row 2 is not a permutation"):
+        SemidirectProductBrace(TrivialBrace([3]), TrivialBrace([4]), rows)
+
+
 def test_table_brace_matches_source(sd6):
     add_t, mul_t = tabulate(sd6)
     T = TableBrace(add_t, mul_t)
@@ -1146,14 +1165,14 @@ def test_list_ideals_trivial_braces():
     assert [r.size for r in list_ideals(TrivialBrace([2, 2]))] == [1, 2, 2, 2, 4]
 
 
-def _list_ideals_per_element(B, budget=1_000_000):
+def _list_ideals_per_element(B):
     """Reference: the closure of every nonzero element, completed under pairwise joins."""
-    zero_rec = ideal_closure(B, [], mode="two_sided", budget=budget)
+    zero_rec = ideal_closure(B, [], mode="two_sided")
     found = {zero_rec.key(): zero_rec}
     for x in range(B.order):
         if x == B.zero():
             continue
-        rec = ideal_closure(B, [x], mode="two_sided", budget=budget)
+        rec = ideal_closure(B, [x], mode="two_sided")
         found.setdefault(rec.key(), rec)
     changed = True
     while changed:
@@ -1164,9 +1183,7 @@ def _list_ideals_per_element(B, budget=1_000_000):
                 a, b = records[i], records[j]
                 if a.contains(b.members) or b.contains(a.members):
                     continue
-                joined = ideal_closure(
-                    B, list(a.seeds) + list(b.seeds), mode="two_sided", budget=budget
-                )
+                joined = ideal_closure(B, list(a.seeds) + list(b.seeds), mode="two_sided")
                 if joined.key() not in found:
                     found[joined.key()] = joined
                     changed = True
@@ -1815,11 +1832,6 @@ def test_prime_check_guards_lattice(asym9):
         is_prime_brace(asym9, [[0], np.arange(9)])  # missing the middle ideal
     with pytest.raises(IncompleteLatticeError):
         is_prime_brace(asym9, [[0], [0, 1], np.arange(9)])  # non-ideal entry
-
-
-def test_closure_budget(asym9):
-    with pytest.raises(BudgetExceededError):
-        ideal_closure(asym9, [1], budget=2)
 
 
 def test_multiplicative_generators_generate(asym9, sd6):

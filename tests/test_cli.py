@@ -76,7 +76,6 @@ def test_schema_error_exits_two(tmp_path, capsys):
 def test_bad_flags_exit_two(capsys):
     assert run(["verify"]) == 2  # --spec is required
     assert run(["frobnicate"]) == 2
-    assert run(["verify", "--spec", CF72, "--budget", "0"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -93,6 +92,9 @@ def test_bad_flags_exit_two(capsys):
         ["prime-example", "--samples", "-1", "--json"],
         ["prime-example", "--seed", "1"],
         ["export", "--spec", NS216, "--samples", "0"],
+        ["verify", "--spec", CF72, "--budget", "0"],
+        ["analyze", "--spec", CF72, "--budget", "5"],
+        ["prime-example", "--budget", "5"],
     ],
 )
 def test_flags_no_handler_reads_exit_two(argv, capsys):
@@ -158,6 +160,11 @@ def test_witness_no_witness_exits_one(capsys):
 
 def test_witness_budget_exits_one(capsys):
     assert run(["witness", "--p", "3", "--p1", "7", "--dim", "4"]) == 1
+
+
+def test_witness_budget_below_one_exits_two(capsys):
+    assert run(["witness", "--p", "2", "--p1", "3", "--budget", "0"]) == 2
+    assert "budgets must be positive" in capsys.readouterr().err
 
 
 def test_export_writes_ybe_file(tmp_path):

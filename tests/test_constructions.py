@@ -6,6 +6,7 @@ simulation written directly from the componentwise formulas, so the compiled
 pairing/action/layout cannot drift from the intended algebra unnoticed.
 """
 
+import dataclasses
 import hashlib
 import itertools
 
@@ -408,6 +409,24 @@ def test_validate_spec_failures():
 
     lone = parse_spec({"blocks": [{"p": 2, "gram": [[1]], "f": [[1]], "m": 1, "r": 1}]})
     assert any("at least two blocks" in msg for msg in validate_spec(lone).failures)
+
+
+def test_validate_spec_cycle_block_without_slot_count():
+    blocks = parse_spec(CF72_DICT).blocks
+    spec = CycleFamilySpec(blocks=(blocks[0], dataclasses.replace(blocks[1], m=None)))
+    report = validate_spec(spec)
+    assert report.failures == ["blocks[1].m: the cycle shape needs a slot count"]
+    with pytest.raises(ConditionViolationError, match="needs a slot count"):
+        build_family(spec)
+
+
+def test_validate_spec_matrix_block_with_slot_count():
+    blocks = parse_spec(MF72_DICT).blocks
+    spec = MatrixFamilySpec(blocks=(dataclasses.replace(blocks[0], m=2), blocks[1]))
+    report = validate_spec(spec)
+    assert report.failures == ["blocks[0].m: the matrix shape takes no slot count"]
+    with pytest.raises(ConditionViolationError, match="takes no slot count"):
+        build_family(spec)
 
 
 def test_build_rejects_invalid_spec():

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import bracekit.groupinfo as groupinfo
-from bracekit.braces import SemidirectProductBrace, TrivialBrace
+from bracekit.braces import SemidirectProductBrace, TrivialBrace, multiplicative_closure
 from bracekit.construct import build_family, load_spec, parse_spec
-from bracekit.errors import BudgetExceededError
 from bracekit.groupinfo import (
     GroupReport,
     derived_subgroup,
@@ -21,7 +20,6 @@ from bracekit.groupinfo import (
     is_A_group,
     is_abelian,
     is_metabelian,
-    multiplicative_closure,
     sylow_left_ideals,
 )
 from bracekit.groupinfo import _additive_multiple
@@ -97,23 +95,22 @@ def test_one_element_brace_has_trivial_group_structure():
 
 
 def test_derived_subgroup_is_searched_once(cf72, sd6, monkeypatch):
-    # the greedy search for generators closes the subgroup; no second closure follows
-    searched = []
-    greedy = groupinfo._greedy_generators
+    # one closure of the commutator orbit, one greedy search that closes the subgroup
+    calls = []
 
-    def counted(B, pool, inside=None):
-        searched.append(len(pool))
-        return greedy(B, pool, inside)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
 
-    def closed_again(*args, **kwargs):
-        raise AssertionError("the derived subgroup was closed a second time")
+        return wrapper
 
-    monkeypatch.setattr(groupinfo, "_greedy_generators", counted)
-    monkeypatch.setattr(groupinfo, "multiplicative_closure", closed_again)
+    for name in ("_close", "_greedy_generators"):
+        monkeypatch.setattr(groupinfo, name, counted(name, getattr(groupinfo, name)))
     for B in (cf72, sd6):
-        searched.clear()
+        calls.clear()
         derived_subgroup(B)
-        assert len(searched) == 1
+        assert sorted(calls) == ["_close", "_greedy_generators"]
 
 
 def test_abelian_and_metabelian_flags(cf72, sd6):
@@ -176,11 +173,6 @@ def test_group_report_invariant_abelian_implies_metabelian():
         report = group_report(B)
         assert report.is_abelian and report.is_metabelian
         assert report.derived_size == 1
-
-
-def test_budget_guard(cf72):
-    with pytest.raises(BudgetExceededError):
-        derived_subgroup(cf72, budget=10)
 
 
 def test_sylow_decomposition_is_direct(cf72):
