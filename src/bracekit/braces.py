@@ -45,6 +45,7 @@ multiplies every element of the left factor.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -226,19 +227,19 @@ _BLOCK = 1 << 15  # columns per block of the digit-row kernels; the sweep is in 
 
 
 class _Scratch(threading.local):
-    """int64 rows that the digit-row kernels of one thread reuse from call to call.
+    """Buffers that the digit-row kernels of one thread reuse from call to call.
 
-    ``rows(d, m)`` is three C-contiguous (d, m) views of one flat buffer,
-    which grows when larger views are asked for; the kernels ask for
+    ``rows(d, m)`` is three C-contiguous (d, m) int64 views of one flat
+    buffer, which grows when larger views are asked for; the kernels ask for
     m <= _BLOCK. Fresh (d, n) arrays would cost a page fault per 4 KB on
     every large call, because the allocator hands big freed blocks back to
     the system. No value survives from one call to the next: every kernel
-    writes a row before it reads it. ``quotients`` is one more row, of
-    _BLOCK entries, for ``_MixedRadix.decode``.
+    writes a row before it reads it. ``digits`` is 8 * _BLOCK more bytes,
+    where ``_MixedRadix.decode`` gathers the digits of one run.
     """
 
     def __init__(self):
-        self.quotients = np.empty(_BLOCK, dtype=np.int64)
+        self.digits = np.empty(8 * _BLOCK, dtype=np.uint8)
         self._flat = np.empty(0, dtype=np.int64)
         self._shape = None
         self._rows = ()
@@ -255,11 +256,33 @@ class _Scratch(threading.local):
 _scratch = _Scratch()
 
 
+@dataclass(frozen=True, eq=False)
+class _Run:
+    """Consecutive digits of a codec, by weight, whose moduli multiply to ``product``.
+
+    ``table`` row v holds the run's digits of v, in the smallest unsigned
+    dtype, one column per coordinate in ascending coordinate order. A row
+    of up to 32 bytes is padded to a power-of-two width, which numpy's
+    ``take`` copies fastest. ``columns`` pairs slices of those columns with
+    the slices of coordinate rows they fill: one pair when the run's
+    coordinates are consecutive, whatever their weights. ``row`` is the
+    run's first coordinate. A digit whose modulus exceeds _BLOCK is a run
+    of its own with no table: its value is the digit.
+    """
+
+    product: int
+    row: int
+    table: Optional[np.ndarray] = None
+    columns: tuple = ()
+
+
 class _MixedRadix:
     """Mixed-radix codec; the first-listed coordinate varies fastest.
 
     ``reordered`` lists the same coordinates in another order, with the
-    weights they had, so it encodes to the same indices.
+    weights they had, so it encodes to the same indices. ``decode`` reads
+    the digits in runs of at most _BLOCK values (``_Run``), whose tables
+    the first call builds.
     """
 
     def __init__(self, moduli):
@@ -273,52 +296,96 @@ class _MixedRadix:
             raise ValueError(f"carrier of size {exact} is too large to index")
         self.weights = np.concatenate(([1], np.cumprod(self.moduli)[:-1]))
         self.size = exact
-        self._digits = self._digit_order()
+        self._runs: Optional[list[_Run]] = None
 
-    def _digit_order(self) -> list[tuple[int, int]]:
-        """(coordinate, modulus) pairs from the lightest weight up."""
-        order = np.argsort(self.weights, kind="stable").tolist()
-        return [(j, int(self.moduli[j])) for j in order]
+    def _digit_runs(self) -> list[_Run]:
+        """The digits, lightest first, split into runs whose moduli multiply to at most _BLOCK.
+
+        Built by the first ``decode`` and kept: a run's table has at most
+        _BLOCK rows of a byte or two per digit.
+        """
+        groups: list[list[tuple[int, int]]] = []
+        product = _BLOCK + 1
+        for j in np.argsort(self.weights, kind="stable").tolist():
+            m = int(self.moduli[j])
+            if product * m > _BLOCK:
+                groups.append([])
+                product = 1
+            groups[-1].append((j, m))
+            product *= m
+        runs = []
+        for group in groups:
+            product = math.prod(m for _, m in group)
+            coords = sorted(j for j, _ in group)
+            if product > _BLOCK:
+                runs.append(_Run(product, coords[0]))
+                continue
+            dtype = np.min_scalar_type(max(m for _, m in group) - 1)
+            width = len(group) * dtype.itemsize
+            if width <= 32:
+                width = 1 << (width - 1).bit_length()
+            table = np.zeros((product, width // dtype.itemsize), dtype=dtype)
+            values, weight = np.arange(product), 1
+            for j, m in group:
+                table[:, coords.index(j)] = values // weight % m
+                weight *= m
+            # maximal ranges of consecutive coordinates, as column and row slices
+            starts = [k for k in range(len(coords)) if k == 0 or coords[k] != coords[k - 1] + 1]
+            columns = tuple(
+                (slice(a, b), slice(coords[a], coords[a] + b - a))
+                for a, b in zip(starts, starts[1:] + [len(coords)])
+            )
+            runs.append(_Run(product, coords[0], table, columns))
+        self._runs = runs
+        return runs
 
     def decode(self, idx: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """(n, d) coordinates of the 1-d ``idx``, written into ``out`` when given.
 
-        Digits come off from the lightest weight up: one floor division by a
-        scalar per coordinate, with the digit rest - q * m written into its
-        output row. That is several times faster than dividing an (n, d) grid
-        by the weights, or than ``np.divmod`` by the same scalar. The result
-        (and ``out``) is the transpose of a (d, n) array, so ``.T`` gives back
-        one row per coordinate. Indices outside 0..size-1 raise IndexError.
+        The digits are read in runs (``_digit_runs``), lightest first: one
+        floor division per run boundary splits off the value of the runs
+        below it, a run's value picks its digits from the run's table with
+        one ``take`` into this thread's ``_scratch.digits``, and one cast
+        writes them into their int64 rows. Between runs the quotient waits
+        in the heaviest run's first row, which is written last. A codec of
+        at most _BLOCK elements is one run and needs no division. The
+        result (and ``out``) is the transpose of a (d, n) array, so ``.T``
+        gives back one row per coordinate. Indices outside 0..size-1 raise
+        IndexError.
 
-        The columns are walked _BLOCK at a time. Within a block the quotients
-        alternate between this thread's ``_scratch.quotients`` and the slice
-        of the heaviest digit's row, which is written last, so a call
-        allocates only its result.
+        The columns are walked _BLOCK at a time, so a call allocates only its
+        result.
         """
+        idx = np.asarray(idx, dtype=np.int64)
         rows = np.empty((self.moduli.size, idx.size), dtype=np.int64) if out is None else out.T
-        chain, (top_j, top_m) = self._digits[:-1], self._digits[-1]
-        scratch = _scratch.quotients
+        runs = self._runs or self._digit_runs()
+        *lower, top = runs
         for lo in range(0, idx.size, _BLOCK):
             if idx.size <= _BLOCK:  # kernel blocks and small calls: no slices to make
                 block, part = rows, idx
             else:
                 block, part = rows[:, lo : lo + _BLOCK], idx[lo : lo + _BLOCK]
-            top, rest = block[top_j], part
-            # the parity leaves the quotient that the heaviest digit divides in scratch
-            q, spare = (scratch[: part.size], top) if len(chain) % 2 else (top, scratch[: part.size])
-            for j, m in chain:
-                np.floor_divide(rest, m, q)
-                row = block[j]
-                np.multiply(q, m, row)
-                np.subtract(rest, row, row)
-                rest, q, spare = q, spare, q
-            np.floor_divide(rest, top_m, top)
-            # the last quotient is zero exactly when 0 <= idx < size, and the
-            # heaviest digit is then the rest itself
-            if np.count_nonzero(top):
-                bad = int(part[top != 0][0])
+            rest, home = part, block[top.row]
+            for k, run in enumerate(lower):
+                low = block[run.row]
+                if k == 0:
+                    np.floor_divide(part, run.product, home)
+                    np.multiply(home, run.product, low)
+                    np.subtract(part, low, low)
+                else:  # three or more runs: the quotient stays in place
+                    np.divmod(home, run.product, out=(home, low))
+                rest = home
+                if run.table is not None:
+                    _gather_digits(run, low, block)
+            # the top run's value is below its product exactly when 0 <= idx <
+            # size; read as unsigned, a negative value is above every product
+            if rest.view(np.uint64).max() >= top.product:
+                bad = int(part[(rest < 0) | (rest >= top.product)][0])
                 raise IndexError(f"index {bad} outside carrier of order {self.size}")
-            np.copyto(top, rest)
+            if top.table is not None:
+                _gather_digits(top, rest, block)
+            elif rest is not home:
+                np.copyto(home, rest)
         return rows.T
 
     def encode(self, coords: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -334,8 +401,25 @@ class _MixedRadix:
         out.moduli = self.moduli[order]
         out.weights = self.weights[order]
         out.size = self.size
-        out._digits = out._digit_order()
+        out._runs = None
         return out
+
+
+def _gather_digits(run: _Run, values: np.ndarray, block: np.ndarray) -> None:
+    """Write the digits of the run ``values`` into their rows of ``block``.
+
+    The digits are taken into this thread's ``_scratch.digits`` in as many
+    column slices as it needs, and each slice is cast into the int64 rows
+    before the next is taken, so ``values`` may be one of those rows.
+    """
+    table, buffer = run.table, _scratch.digits
+    step = buffer.size // table.strides[0]
+    for lo in range(0, values.size, step):
+        hi = min(lo + step, values.size)
+        digits = buffer[: (hi - lo) * table.strides[0]].view(table.dtype).reshape(hi - lo, -1)
+        table.take(values[lo:hi], axis=0, out=digits, mode="clip")
+        for columns, coords in run.columns:
+            np.copyto(block[coords, lo:hi], digits[:, columns].T)
 
 
 def _one_hot_generators(self) -> np.ndarray:
@@ -1058,9 +1142,12 @@ class _AdditiveSpan:
     lands outside the current subgroup H, which keeps the number of insert
     calls logarithmic in the subgroup size. Each step is one kernel call: H
     with x appended, plus kx, gives the coset and the next step's kx + x
-    together. ``insert_many`` is the one greedy
+    together. When the index [B:H] is prime, H + <x> is the whole carrier
+    and no coset is computed (``insert``). ``insert_many`` is the one greedy
     walk over a pool of values: additive generators, star products, ideal
-    closures and ideal tests all grow their spans through it.
+    closures and ideal tests all grow their spans through it. The members
+    are kept in the order they were added, so ``members[k:]`` is what came
+    after the span held k elements.
     """
 
     def __init__(self, B: FiniteBrace):
@@ -1077,8 +1164,22 @@ class _AdditiveSpan:
         return self._chunks[0]
 
     def insert(self, x: int) -> None:
+        """Add the cyclic subgroup of ``x`` to the span H.
+
+        If x is outside H and the index [B:H] = order / |H| is a prime p, then
+        H + <x> is all of B: it is a subgroup that properly contains H, so its
+        index divides p and is below p. The complement of H is then appended
+        as one chunk, with no kernel call. This needs (B, +) to be a group,
+        as every brace's addition is, so that H is a subgroup and |H| divides
+        the order.
+        """
         rep = x = int(x)
         if self.mask[x]:
+            return
+        if _is_prime(self.B.order // self.size):
+            self._chunks.append(np.flatnonzero(~self.mask))
+            self.mask[:] = True
+            self.size = self.B.order
             return
         # H with x appended: one add gives the coset H + rep and, last, the next rep + x
         base = np.append(self.members, x)
@@ -1104,6 +1205,38 @@ class _AdditiveSpan:
             self.insert(picks[-1])
             rest = rest[~self.mask[rest]]
         return picks
+
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether ``n`` is prime; exact for every n below 318665857834031151167461.
+
+    Miller-Rabin with the first 12 primes as bases: no composite below that
+    bound is a strong pseudoprime to all of them (Sorenson and Webster,
+    Math. Comp. 86, 2017), far above the 2^62 elements a codec can index.
+    It costs at most a dozen modular powers, whatever n.
+    """
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

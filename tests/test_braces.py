@@ -46,6 +46,7 @@ from bracekit.braces import (
     _draw_triples,
     _greedy_generators,
     _ideal_maps,
+    _is_prime,
     _orbit_labels,
     _subgroup_generators,
 )
@@ -691,12 +692,8 @@ def test_kernels_reject_indices_outside_the_carrier(name, asym9, cf72, sd6):
                 pytest.fail(f"{what}({bad}) returned")
 
 
-@pytest.mark.parametrize("moduli", [[3, 1, 257, 2, 1], [257, 1, 65536, 7, 1_000_003]])
-@pytest.mark.parametrize("order", [None, [2, 4, 0, 3, 1]])
-def test_decode_matches_digit_loop(moduli, order):
-    codec = _MixedRadix(moduli)
-    rng = np.random.default_rng(11)
-    idx = np.concatenate([[0, codec.size - 1], rng.integers(0, codec.size, 2_000)])
+def _digit_loop(idx: np.ndarray, moduli) -> np.ndarray:
+    """Reference: the (n, d) coordinates of ``idx``, one Python divmod per digit."""
     want = []
     for rest in idx.tolist():
         digits = []
@@ -704,7 +701,16 @@ def test_decode_matches_digit_loop(moduli, order):
             rest, digit = divmod(rest, m)
             digits.append(digit)
         want.append(digits)
-    want = np.array(want, dtype=np.int64)
+    return np.array(want, dtype=np.int64).reshape(idx.size, len(moduli))
+
+
+@pytest.mark.parametrize("moduli", [[3, 1, 257, 2, 1], [257, 1, 65536, 7, 1_000_003]])
+@pytest.mark.parametrize("order", [None, [2, 4, 0, 3, 1]])
+def test_decode_matches_digit_loop(moduli, order):
+    codec = _MixedRadix(moduli)
+    rng = np.random.default_rng(11)
+    idx = np.concatenate([[0, codec.size - 1], rng.integers(0, codec.size, 2_000)])
+    want = _digit_loop(idx, moduli)
     if order is not None:
         codec, want = codec.reordered(order), want[:, order]
     got = codec.decode(idx)
@@ -713,8 +719,53 @@ def test_decode_matches_digit_loop(moduli, order):
     assert np.array_equal(codec.encode(got), idx)
 
 
+# (moduli, run products lightest first): a run of exactly _BLOCK, moduli
+# above _BLOCK between small ones, modulus 1 alone and inside runs, and three
+# runs of one digit each
+RUN_SHAPES = [
+    ([2] * 15 + [3], [_BLOCK, 3]),
+    ([3, 5, 40_000, 7, 1, 2**30, 2], [15, 40_000, 7, 2**30, 2]),
+    ([1], [1]),
+    ([1, 4, 1, 1, 9], [36]),
+    ([200, 200, 200], [200, 200, 200]),
+]
+
+
+@pytest.mark.parametrize("moduli, products", RUN_SHAPES)
+def test_decode_reads_every_run_shape(moduli, products):
+    codec = _MixedRadix(moduli)
+    rng = np.random.default_rng(12)
+    # three blocks and a few columns more, so later blocks are slices
+    idx = np.concatenate([[0, codec.size - 1], rng.integers(0, codec.size, 3 * _BLOCK + 5)])
+    want = _digit_loop(idx, moduli)
+    order = rng.permutation(len(moduli))
+    for c, w in ((codec, want), (codec.reordered(order), want[:, order])):
+        for n in (1, 3, idx.size):  # small calls too
+            got = c.decode(idx[:n])
+            assert got.dtype == np.int64 and np.array_equal(got, w[:n])
+        out = np.empty((len(moduli), _BLOCK), dtype=np.int64).T
+        assert c.decode(idx[:_BLOCK], out) is not None and np.array_equal(out, w[:_BLOCK])
+        assert [run.product for run in c._runs] == products
+        assert np.array_equal(c.encode(c.decode(idx)), idx)
+
+
+@pytest.mark.parametrize("moduli", [m for m, _ in RUN_SHAPES] + [[2] * 11 + [3, 3]])
+def test_decode_names_the_first_bad_index_in_a_later_block(moduli):
+    codec = _MixedRadix(moduli)
+    idx = np.arange(3 * _BLOCK, dtype=np.int64) % codec.size
+    for bad in (-1, codec.size):
+        for where in (2 * _BLOCK + 7, 3 * _BLOCK - 2):
+            wrong = idx.copy()
+            wrong[where] = bad
+            wrong[-1] = -5  # a later bad index is not the one named
+            with pytest.raises(IndexError, match=f"index {bad} outside carrier of order {codec.size}$"):
+                codec.decode(wrong)
+        with pytest.raises(IndexError, match=f"index {bad} outside"):
+            codec.decode(np.array([bad]))
+
+
 def test_decode_allocates_little_beyond_its_result(bulk750k):
-    # the quotient chain is walked _BLOCK columns at a time
+    # the digit runs are walked _BLOCK columns at a time
     codec, every = bulk750k.codec, bulk750k.elements()
     codec.decode(every[:10])
     tracemalloc.start()
@@ -729,6 +780,31 @@ def test_decode_allocates_little_beyond_its_result(bulk750k):
     bad[_BLOCK + 3] = -1
     with pytest.raises(IndexError, match="index -1 outside"):
         codec.decode(bad)
+
+
+def test_decode_on_the_order_18432_factor_allocates_only_its_result(factor_a):
+    # the kernels' codec of the order-18432 factor is one run of 13 digits,
+    # and their weights do not rise with the coordinate: the run's rows are
+    # not in weight order
+    codec = factor_a._logical
+    assert [run.product for run in codec._digit_runs()] == [factor_a.order]
+    assert np.any(np.diff(codec.weights) < 0)
+    rng = np.random.default_rng(13)
+    idx = rng.integers(0, codec.size, 4 * _BLOCK)
+    out = np.empty((codec.moduli.size, _BLOCK), dtype=np.int64).T
+    codec.decode(idx[:10])
+    tracemalloc.start()
+    try:
+        got = codec.decode(idx)
+        peak = tracemalloc.get_traced_memory()[1]
+        codec.decode(idx[:_BLOCK], out)
+        into_out = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, _digit_loop(idx, factor_a.codec.moduli.tolist())[:, factor_a._inv_layout])
+    assert np.array_equal(out, got[:_BLOCK])
+    assert peak <= got.nbytes + 4096, peak
+    assert into_out <= peak + 4096, into_out
 
 
 def test_layout_permutes_storage_only():
@@ -1738,13 +1814,39 @@ def test_insert_makes_one_add_call_per_coset(cf72):
 
     B._add = counted
     span = _AdditiveSpan(B)
-    # the pinned additive generators of cf72, with 1 again once the span holds it
+    # the pinned additive generators of cf72, with 1 again once the span holds
+    # it; 8 goes in at index 72 / 8 = 9 and 16 at the prime index 72 / 24 = 3
+    indexes = []
     for x in (1, 2, 3, 1, 8, 16):
         before, calls[:] = span.size, []
+        new = not span.mask[x]
         span.insert(x)
-        cosets = span.size // before - 1  # each step of the tower adds one coset of H
-        assert calls == [before + 1] * cosets  # H with x appended, in one call per coset
+        if new:
+            indexes.append(cf72.order // before)
+        if new and _is_prime(cf72.order // before):
+            # H + <x> is a subgroup properly containing H, so it is the carrier
+            assert calls == [] and span.size == cf72.order
+        else:
+            cosets = span.size // before - 1  # each step of the tower adds one coset of H
+            assert calls == [before + 1] * cosets  # H with x appended, in one call per coset
+        assert np.array_equal(np.sort(span.members), np.flatnonzero(span.mask))
+    assert indexes == [72, 36, 18, 9, 3]
     assert span.size == cf72.order and np.array_equal(np.sort(span.members), cf72.elements())
+
+
+def test_is_prime_matches_a_sieve_and_rejects_strong_pseudoprimes():
+    # Eratosthenes: the numbers below 200000 that no smaller prime divides
+    sieve = np.ones(200_000, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(sieve.size) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    assert [n for n in range(sieve.size) if _is_prime(n)] == np.flatnonzero(sieve).tolist()
+    assert _is_prime(2**61 - 1) and _is_prime(2**62 - 57)
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7 and
+    # 3825123056546413051 to every prime base up to 31
+    for n in (2**40, 3215031751, 3825123056546413051):
+        assert not _is_prime(n), n
 
 
 def _is_ideal_by_definition(B, members, two_sided):
