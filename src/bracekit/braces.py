@@ -45,7 +45,6 @@ multiplies every element of the left factor.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -305,17 +304,16 @@ class _MixedRadix:
         _BLOCK rows of a byte or two per digit.
         """
         groups: list[list[tuple[int, int]]] = []
-        product = _BLOCK + 1
+        products: list[int] = []
         for j in np.argsort(self.weights, kind="stable").tolist():
             m = int(self.moduli[j])
-            if product * m > _BLOCK:
+            if not groups or products[-1] * m > _BLOCK:
                 groups.append([])
-                product = 1
+                products.append(1)
             groups[-1].append((j, m))
-            product *= m
+            products[-1] *= m
         runs = []
-        for group in groups:
-            product = math.prod(m for _, m in group)
+        for group, product in zip(groups, products):
             coords = sorted(j for j, _ in group)
             if product > _BLOCK:
                 runs.append(_Run(product, coords[0]))

@@ -21,7 +21,7 @@ orders 8 to 64 (``_SEEDED_CASES``), and on one seeded relabelling of each,
 36 cases in all (a one-element brace is its own relabelling). Two of the
 seeded braces have a minimal ideal I with I*I = {0} and no other product of
 nonzero ideals equal to {0}, so a primeness check that skipped the pairs
-(I, I) would call them prime. Its 37 tests take about 6 s on a 2-core host
+(I, I) would call them prime. Its 37 tests take about 7 s on a 2-core host
 (Python 3.11, numpy 2.4), ns216 most of it; each test fails once 10 s have
 passed since the first.
 
