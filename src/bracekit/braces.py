@@ -56,6 +56,7 @@ from .errors import (
     ConditionViolationError,
     IncompleteLatticeError,
 )
+from .modular import is_prime
 
 __all__ = [
     "FiniteBrace",
@@ -1174,7 +1175,7 @@ class _AdditiveSpan:
         rep = x = int(x)
         if self.mask[x]:
             return
-        if _is_prime(self.B.order // self.size):
+        if is_prime(self.B.order // self.size):
             self._chunks.append(np.flatnonzero(~self.mask))
             self.mask[:] = True
             self.size = self.B.order
@@ -1203,38 +1204,6 @@ class _AdditiveSpan:
             self.insert(picks[-1])
             rest = rest[~self.mask[rest]]
         return picks
-
-
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Whether ``n`` is prime; exact for every n below 318665857834031151167461.
-
-    Miller-Rabin with the first 12 primes as bases: no composite below that
-    bound is a strong pseudoprime to all of them (Sorenson and Webster,
-    Math. Comp. 86, 2017), far above the 2^62 elements a codec can index.
-    It costs at most a dozen modular powers, whatever n.
-    """
-    if n < 2:
-        return False
-    for p in _PRIME_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,8 @@ The central object is a cycle of blocks. Block z carries a prime p_z, a
 vector space V_z over Z/(p_z) with a non-singular symmetric bilinear form
 (``gram``), and an orthogonal map ``f`` on V_z whose order is exactly the
 previous block's prime, so the s-part of block z-1 can act on the t-part of
-block z by powers of f. Two slot shapes are supported and selected by the
-spec type:
+block z by powers of f. Two slot shapes are supported, and a spec's shape is
+read off its blocks (``FamilySpec.kind``):
 
 * cycle family: T_z is m_z slots of V_z; the pairing sends slot i to
   s-coordinate i for i below r_z - 1 and the sum of all slots to the last
@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import prod
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -61,8 +61,7 @@ from .modular import ResidueMatrix, is_prime, matrix_order, minus_id_bijective, 
 
 __all__ = [
     "BlockData",
-    "CycleFamilySpec",
-    "MatrixFamilySpec",
+    "FamilySpec",
     "FamilyBlock",
     "FamilyReport",
     "parse_spec",
@@ -94,28 +93,28 @@ class BlockData:
 
 
 @dataclass(frozen=True)
-class CycleFamilySpec:
+class FamilySpec:
+    """The blocks of a family spec, whose shape is read off the blocks.
+
+    ``kind`` is "cycle" when every block has a slot count ``m`` and "matrix"
+    when none does. Blocks that mix the two raise SchemaError, so no spec
+    has a shape that its blocks contradict.
+    """
+
     blocks: tuple
 
-    kind = "cycle"
+    def __post_init__(self):
+        with_m = sum(b.m is not None for b in self.blocks)
+        if with_m not in (0, len(self.blocks)):
+            raise SchemaError("blocks: field 'm' must appear in every block or in none")
+
+    @property
+    def kind(self) -> str:
+        return "cycle" if all(b.m is not None for b in self.blocks) else "matrix"
 
     @property
     def n(self) -> int:
         return len(self.blocks)
-
-
-@dataclass(frozen=True)
-class MatrixFamilySpec:
-    blocks: tuple
-
-    kind = "matrix"
-
-    @property
-    def n(self) -> int:
-        return len(self.blocks)
-
-
-FamilySpec = Union[CycleFamilySpec, MatrixFamilySpec]
 
 
 def _parse_matrix(value, path: str, expected_dim: Optional[int] = None) -> tuple:
@@ -154,31 +153,25 @@ def parse_spec(data) -> FamilySpec:
     raw_blocks = data["blocks"]
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise SchemaError("blocks: expected a non-empty list")
-    with_m = sum(1 for b in raw_blocks if isinstance(b, dict) and "m" in b)
-    if with_m not in (0, len(raw_blocks)):
-        raise SchemaError("blocks: field 'm' must appear in every block or in none")
-    is_cycle = with_m == len(raw_blocks)
-    allowed = {"p", "gram", "f", "r"} | ({"m"} if is_cycle else set())
+    required = ("p", "gram", "f", "r")
     blocks = []
     for i, raw in enumerate(raw_blocks):
         path = f"blocks[{i}]"
         if not isinstance(raw, dict):
             raise SchemaError(f"{path}: expected an object")
         for key in raw:
-            if key not in allowed:
+            if key not in required and key != "m":
                 raise SchemaError(f"{path}: unknown field {key!r}")
-        for key in allowed:
+        for key in required:
             if key not in raw:
                 raise SchemaError(f"{path}: missing field {key!r}")
         p = _parse_positive_int(raw["p"], f"{path}.p")
         gram = _parse_matrix(raw["gram"], f"{path}.gram")
         f = _parse_matrix(raw["f"], f"{path}.f", expected_dim=len(gram))
         r = _parse_positive_int(raw["r"], f"{path}.r")
-        m = _parse_positive_int(raw["m"], f"{path}.m") if is_cycle else None
+        m = _parse_positive_int(raw["m"], f"{path}.m") if "m" in raw else None
         blocks.append(BlockData(p=p, gram=gram, f=f, r=r, m=m))
-    if is_cycle:
-        return CycleFamilySpec(blocks=tuple(blocks))
-    return MatrixFamilySpec(blocks=tuple(blocks))
+    return FamilySpec(blocks=tuple(blocks))
 
 
 def load_spec(path) -> FamilySpec:
@@ -252,9 +245,8 @@ def validate_spec(spec: FamilySpec) -> FamilyReport:
 
     Conditions: at least two blocks with pairwise distinct primes; each gram
     symmetric and non-singular; each f orthogonal for its gram with order
-    exactly the preceding block's prime; and a slot count m_z on every
-    block of the cycle shape, at least max(r_z, r_{z-1}), and on none of the
-    matrix shape.
+    exactly the preceding block's prime; and, in the cycle shape, a slot
+    count m_z of at least max(r_z, r_{z-1}).
     """
     failures: list[str] = []
     n = spec.n
@@ -270,12 +262,6 @@ def validate_spec(spec: FamilySpec) -> FamilyReport:
         info = {"p": b.p, "dim": b.dim, "r": b.r, "slots": None, "map_order": None,
                 "minus_id_bijective": None}
         block_infos.append(info)
-        if spec.kind == "cycle" and b.m is None:
-            failures.append(f"{path}.m: the cycle shape needs a slot count")
-            continue
-        if spec.kind == "matrix" and b.m is not None:
-            failures.append(f"{path}.m: the matrix shape takes no slot count")
-            continue
         if not is_prime(b.p):
             failures.append(f"{path}.p: {b.p} is not prime")
             continue
@@ -323,19 +309,16 @@ def validate_spec(spec: FamilySpec) -> FamilyReport:
 class FamilyBlock:
     """Carrier-level metadata for one block of a built family brace.
 
-    ``t_coords`` and ``s_coords`` are [start, stop) ranges into the logical
-    t and s coordinate lists. The block's elements (all other blocks zero)
+    ``t_coords`` is the [start, stop) range of the block's coordinates in the
+    logical t coordinate list. The block's elements (all other blocks zero)
     occupy the contiguous index run stride * {0, ..., size-1}, because the
     storage layout keeps each block's coordinates adjacent.
     """
 
-    index: int
     prime: int
     dim: int
     slots: int
-    s_dim: int
     t_coords: tuple
-    s_coords: tuple
     stride: int
     size: int
     f: tuple
@@ -392,13 +375,10 @@ def _assemble(spec: FamilySpec):
         size = b.p ** (t_dims[z] + r[z])
         blocks_meta.append(
             FamilyBlock(
-                index=z,
                 prime=b.p,
                 dim=b.dim,
                 slots=slot_counts[z],
-                s_dim=r[z],
                 t_coords=(int(t_off[z]), int(t_off[z + 1])),
-                s_coords=(int(s_off[z]), int(s_off[z + 1])),
                 stride=stride,
                 size=size,
                 f=b.f,
@@ -463,9 +443,9 @@ def nonsimple_witness(B: AsymmetricProductBrace) -> IdealRecord:
     return record
 
 
-def _shift_spec() -> CycleFamilySpec:
+def _shift_spec() -> FamilySpec:
     # five slots of the hyperbolic plane over Z/2 cycled against one copy of Z/3
-    return CycleFamilySpec(
+    return FamilySpec(
         blocks=(
             BlockData(p=2, gram=((0, 1), (1, 0)), f=((0, 1), (1, 1)), r=1, m=5),
             BlockData(p=3, gram=((1,),), f=((2,),), r=1, m=1),

@@ -40,14 +40,14 @@ __all__ = [
 ]
 
 
-def derived_subgroup(B: FiniteBrace) -> np.ndarray:
-    """Sorted members of the derived subgroup of (B, mul).
+def _derived_search(B: FiniteBrace) -> tuple[list, np.ndarray]:
+    """Generators of the derived subgroup of (B, mul), and its sorted members.
 
     The derived subgroup is generated by the conjugates of the commutators
     of the multiplicative generators. Those conjugates are the orbit of the
     commutators under the conjugation tables of ``_ideal_maps``, and the
     subgroup is the mask that the greedy search for generators of that
-    orbit closes.
+    orbit closes; its picks generate the subgroup.
     """
     gens = B.multiplicative_generators()
     inverses = B.inv(gens)
@@ -59,7 +59,13 @@ def derived_subgroup(B: FiniteBrace) -> np.ndarray:
     orbit[frontier] = True
     tables = _ideal_maps(B, two_sided=True)[1::2]
     _close(orbit, frontier, lambda f: tables[:, f].ravel())
-    return np.flatnonzero(_greedy_generators(B, np.flatnonzero(orbit))[1])
+    picks, mask = _greedy_generators(B, np.flatnonzero(orbit))
+    return picks, np.flatnonzero(mask)
+
+
+def derived_subgroup(B: FiniteBrace) -> np.ndarray:
+    """Sorted members of the derived subgroup of (B, mul); see ``_derived_search``."""
+    return _derived_search(B)[1]
 
 
 def _pairwise_commuting(B: FiniteBrace, xs) -> bool:
@@ -91,8 +97,8 @@ def _is_abelian_subgroup(B: FiniteBrace, members) -> bool:
 
 
 def is_metabelian(B: FiniteBrace) -> bool:
-    """True when the derived subgroup of (B, mul) is abelian."""
-    return _is_abelian_subgroup(B, derived_subgroup(B))
+    """True when the derived subgroup of (B, mul) is abelian: when its generators commute."""
+    return _pairwise_commuting(B, _derived_search(B)[0])
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -183,11 +189,11 @@ class GroupReport:
 
 
 def group_report(B: FiniteBrace) -> GroupReport:
-    derived = derived_subgroup(B)
+    derived_gens, derived = _derived_search(B)
     sylow = _verified_sylow_records(B)
     return GroupReport(
         is_abelian=is_abelian(B),
-        is_metabelian=_is_abelian_subgroup(B, derived),
+        is_metabelian=_pairwise_commuting(B, derived_gens),
         is_A_group=all(_is_abelian_subgroup(B, rec.members) for _, rec in sylow),
         derived_size=int(derived.size),
         sylow_sizes=tuple((int(p), rec.size) for p, rec in sylow),

@@ -7,15 +7,15 @@ Determinants, inverses and null spaces all come from one Gauss-Jordan routine,
 ``_row_reduce``, with first-nonzero pivot selection, which is deterministic and
 exact over a field. It works on lists of Python ints, not numpy rows: the
 matrices here are at most a few dozen rows wide, so numpy's per-call overhead
-would outweigh its vectorised row operations. The moduli in this package are
-tiny (single-digit primes in all shipped constructions), so primality is
-established by trial division at construction time and invalid data fails
-fast rather than corrupting downstream algebra.
+would outweigh its vectorised row operations. Entries are stored as int64
+and products are formed in Python ints before they are reduced, so every
+operation is exact for every modulus below 2^62. Every modulus is checked
+prime at construction time, by a deterministic Miller-Rabin test that costs
+a dozen modular powers whatever its size, so invalid data fails fast rather
+than corrupting downstream algebra.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
 __all__ = [
     "is_prime",
     "unit_order",
-    "Residue",
     "ResidueMatrix",
     "BilinearForm",
     "OrthogonalMap",
@@ -43,17 +42,41 @@ __all__ = [
 ]
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# the least composite that is a strong pseudoprime to every base above
+_PRIME_BOUND = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate for the small moduli used here."""
+    """Whether ``n`` is prime; exact for every n below 318665857834031151167461.
+
+    Miller-Rabin with the first 12 primes as bases: no composite below that
+    bound is a strong pseudoprime to all of them (Sorenson and Webster,
+    Math. Comp. 86, 2017), far above the 2^62 elements a codec can index.
+    It costs at most a dozen modular powers, whatever n. Raises ValueError
+    for n at or above the bound, where the answer would not be exact.
+    """
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"{n} is beyond the exact range of the primality test")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -85,42 +108,6 @@ def unit_order(a: int, p: int) -> int:
         x = x * a % p
         e += 1
     return e
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A canonical residue ``value`` in [0, modulus) with a prime modulus."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        _require_prime(self.modulus)
-        object.__setattr__(self, "value", int(self.value) % self.modulus)
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def inverse(self) -> "Residue":
-        if self.value == 0:
-            raise NotAUnitError(f"0 is not a unit modulo {self.modulus}")
-        return Residue(pow(self.value, -1, self.modulus), self.modulus)
 
 
 class ResidueMatrix:
@@ -171,11 +158,6 @@ class ResidueMatrix:
     def tolist(self) -> list:
         return [[int(v) for v in row] for row in self._cells]
 
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and bool(
-            np.array_equal(self._cells, np.eye(self.rows, dtype=np.int64))
-        )
-
     def _coerce(self, other: "ResidueMatrix") -> None:
         if not isinstance(other, ResidueMatrix):
             raise TypeError("expected a ResidueMatrix")
@@ -186,7 +168,9 @@ class ResidueMatrix:
         self._coerce(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return ResidueMatrix(self._cells @ other._cells, self.modulus)
+        # in Python ints: an int64 product wraps once cols * (p - 1)^2 reaches 2^63
+        product = self._cells.astype(object) @ other._cells.astype(object) % self.modulus
+        return ResidueMatrix(product, self.modulus)
 
     def __add__(self, other: "ResidueMatrix") -> "ResidueMatrix":
         self._coerce(other)
@@ -198,20 +182,6 @@ class ResidueMatrix:
 
     def __neg__(self) -> "ResidueMatrix":
         return ResidueMatrix(-self._cells, self.modulus)
-
-    def __pow__(self, e: int) -> "ResidueMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = ResidueMatrix.identity(self.rows, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         return (
@@ -320,15 +290,6 @@ class BilinearForm:
     @property
     def modulus(self) -> int:
         return self.gram.modulus
-
-    def evaluate(self, u, v) -> int:
-        """b(u, v) for coordinate vectors, reduced into [0, p)."""
-        p = self.modulus
-        uu = np.asarray(u, dtype=np.int64)
-        vv = np.asarray(v, dtype=np.int64)
-        if uu.shape != (self.dim,) or vv.shape != (self.dim,):
-            raise ValueError(f"vectors must have length {self.dim}")
-        return int(uu @ self.gram.array @ vv % p)
 
     def __repr__(self) -> str:
         return f"BilinearForm({self.gram!r})"

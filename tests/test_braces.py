@@ -46,7 +46,6 @@ from bracekit.braces import (
     _draw_triples,
     _greedy_generators,
     _ideal_maps,
-    _is_prime,
     _orbit_labels,
     _subgroup_generators,
 )
@@ -56,6 +55,7 @@ from bracekit.errors import (
     ConditionViolationError,
     IncompleteLatticeError,
 )
+from bracekit.modular import is_prime
 
 
 @pytest.fixture(scope="module")
@@ -1826,7 +1826,7 @@ def test_insert_makes_one_add_call_per_coset(cf72):
         span.insert(x)
         if new:
             indexes.append(cf72.order // before)
-        if new and _is_prime(cf72.order // before):
+        if new and is_prime(cf72.order // before):
             # H + <x> is a subgroup properly containing H, so it is the carrier
             assert calls == [] and span.size == cf72.order
         else:
@@ -1835,21 +1835,6 @@ def test_insert_makes_one_add_call_per_coset(cf72):
         assert np.array_equal(np.sort(span.members), np.flatnonzero(span.mask))
     assert indexes == [72, 36, 18, 9, 3]
     assert span.size == cf72.order and np.array_equal(np.sort(span.members), cf72.elements())
-
-
-def test_is_prime_matches_a_sieve_and_rejects_strong_pseudoprimes():
-    # Eratosthenes: the numbers below 200000 that no smaller prime divides
-    sieve = np.ones(200_000, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(sieve.size) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    assert [n for n in range(sieve.size) if _is_prime(n)] == np.flatnonzero(sieve).tolist()
-    assert _is_prime(2**61 - 1) and _is_prime(2**62 - 57)
-    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7 and
-    # 3825123056546413051 to every prime base up to 31
-    for n in (2**40, 3215031751, 3825123056546413051):
-        assert not _is_prime(n), n
 
 
 def _is_ideal_by_definition(B, members, two_sided):

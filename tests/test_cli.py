@@ -153,6 +153,13 @@ def test_witness_emits_spec_block(capsys):
     }
 
 
+def test_witness_over_a_large_prime(capsys):
+    # f = -1 preserves [[1]]; checking that multiplies cells of about 10^12
+    assert run(["witness", "--p", "1000000000039", "--p1", "2"]) == 0
+    block = json.loads(capsys.readouterr().out)
+    assert block == {"p": 1000000000039, "gram": [[1]], "f": [[1000000000038]], "m": 1, "r": 1}
+
+
 def test_witness_no_witness_exits_one(capsys):
     assert run(["witness", "--p", "2", "--p1", "3", "--dim", "1"]) == 1
     assert "verification failed" in capsys.readouterr().err

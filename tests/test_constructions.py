@@ -9,6 +9,7 @@ pairing/action/layout cannot drift from the intended algebra unnoticed.
 import dataclasses
 import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ import pytest
 from bracekit.braces import SemidirectProductBrace, TrivialBrace, check_axioms, ideal_closure, is_ideal, is_left_ideal, is_prime_brace, is_simple, list_ideals, star_span, tabulate
 from bracekit.construct import (
     BlockData,
-    CycleFamilySpec,
-    MatrixFamilySpec,
+    FamilySpec,
     _assemble,
     build_family,
     build_prime_example,
@@ -161,8 +161,8 @@ def test_cf72_validation_report():
 
 def test_cf72_block_metadata(cf72):
     b0, b1 = cf72.family_blocks
-    assert (b0.prime, b0.dim, b0.slots, b0.s_dim) == (2, 2, 1, 1)
-    assert (b1.prime, b1.dim, b1.slots, b1.s_dim) == (3, 1, 1, 1)
+    assert (b0.prime, b0.dim, b0.slots, b0.t_coords) == (2, 2, 1, (0, 2))
+    assert (b1.prime, b1.dim, b1.slots, b1.t_coords) == (3, 1, 1, (2, 3))
     assert b0.carrier_indices().tolist() == list(range(8))
     assert b1.carrier_indices().tolist() == list(range(0, 72, 8))
     # each block is a left ideal (the additive Sylow subgroup)
@@ -226,8 +226,8 @@ def _random_valid_spec(kind, rng):
         gram, f = _VALID_BLOCKS[p][int(rng.integers(len(_VALID_BLOCKS[p])))]
         m = max(rs[z], rs[z - 1]) + int(rng.integers(0, 2)) if kind == "cycle" else None
         blocks.append(BlockData(p=p, gram=gram, f=f, r=rs[z], m=m))
-    spec = (CycleFamilySpec if kind == "cycle" else MatrixFamilySpec)(blocks=tuple(blocks))
-    assert validate_spec(spec).ok
+    spec = FamilySpec(blocks=tuple(blocks))
+    assert spec.kind == kind and validate_spec(spec).ok
     return spec
 
 
@@ -411,22 +411,33 @@ def test_validate_spec_failures():
     assert any("at least two blocks" in msg for msg in validate_spec(lone).failures)
 
 
-def test_validate_spec_cycle_block_without_slot_count():
-    blocks = parse_spec(CF72_DICT).blocks
-    spec = CycleFamilySpec(blocks=(blocks[0], dataclasses.replace(blocks[1], m=None)))
-    report = validate_spec(spec)
-    assert report.failures == ["blocks[1].m: the cycle shape needs a slot count"]
-    with pytest.raises(ConditionViolationError, match="needs a slot count"):
-        build_family(spec)
+def test_family_spec_rejects_mixed_blocks():
+    # the shape is read off the blocks, so a spec that mixes the two cannot be built
+    cycle, matrix = parse_spec(CF72_DICT).blocks, parse_spec(MF72_DICT).blocks
+    for blocks in (
+        (cycle[0], dataclasses.replace(cycle[1], m=None)),
+        (dataclasses.replace(matrix[0], m=2), matrix[1]),
+    ):
+        with pytest.raises(SchemaError) as caught:
+            FamilySpec(blocks=blocks)
+        assert str(caught.value) == "blocks: field 'm' must appear in every block or in none"
 
 
-def test_validate_spec_matrix_block_with_slot_count():
-    blocks = parse_spec(MF72_DICT).blocks
-    spec = MatrixFamilySpec(blocks=(dataclasses.replace(blocks[0], m=2), blocks[1]))
+@pytest.mark.parametrize("p", [10**12 + 39, 10**18 + 9])
+def test_validate_spec_over_a_large_prime(p):
+    # f = -1 preserves [[1]] and has order 2, the preceding prime, although
+    # (p - 1)^2 overflows int64; no map over Z/2 has order p
+    spec = FamilySpec(
+        blocks=(
+            BlockData(p=p, gram=((1,),), f=((p - 1,),), r=1, m=1),
+            BlockData(p=2, gram=((1,),), f=((1,),), r=1, m=1),
+        )
+    )
+    start = time.perf_counter()
     report = validate_spec(spec)
-    assert report.failures == ["blocks[0].m: the matrix shape takes no slot count"]
-    with pytest.raises(ConditionViolationError, match="takes no slot count"):
-        build_family(spec)
+    assert time.perf_counter() - start < 1.0
+    assert report.blocks[0]["map_order"] == 2 and report.blocks[0]["minus_id_bijective"]
+    assert report.failures == [f"blocks[1].f: order 1, expected the preceding prime {p}"]
 
 
 def test_build_rejects_invalid_spec():

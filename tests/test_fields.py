@@ -1,6 +1,7 @@
-"""Exact arithmetic over Z/(p): residues, matrices, forms, companion maps."""
+"""Exact arithmetic over Z/(p): primality, matrices, forms, companion maps."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from bracekit.errors import (
 from bracekit.modular import (
     BilinearForm,
     OrthogonalMap,
-    Residue,
     ResidueMatrix,
     companion_cyclotomic,
     hyperbolic_witness,
@@ -32,10 +32,25 @@ from bracekit.modular import (
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
-def test_is_prime_small_range():
-    expected = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
-    got = {n for n in range(50) if is_prime(n)}
-    assert got == expected
+def test_is_prime_matches_a_sieve_and_rejects_strong_pseudoprimes():
+    # Eratosthenes: the numbers below 200000 that no smaller prime divides
+    sieve = np.ones(200_000, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(sieve.size) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    assert [n for n in range(sieve.size) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+    assert not is_prime(-7)
+    assert is_prime(2**61 - 1) and is_prime(2**62 - 57) and is_prime(10**18 + 9)
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7 and
+    # 3825123056546413051 to every prime base up to 31
+    for n in (2**40, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+    # the least strong pseudoprime to all 12 bases: from there on no answer is exact
+    bound = 318665857834031151167461
+    assert not is_prime(bound - 1)
+    with pytest.raises(ValueError, match="beyond the exact range"):
+        is_prime(bound)
 
 
 def test_unit_order_frozen_values():
@@ -64,20 +79,6 @@ def test_unit_order_divides_group_order(p, a):
     assert pow(a, e, p) == 1
 
 
-def test_residue_arithmetic():
-    a = Residue(5, 7)
-    b = Residue(4, 7)
-    assert (a + b).value == 2
-    assert (a - b).value == 1
-    assert (a * b).value == 6
-    assert (-a).value == 2
-    assert a.inverse().value == 3  # 5 * 3 = 15 = 1 mod 7
-    with pytest.raises(NotAUnitError):
-        Residue(0, 7).inverse()
-    with pytest.raises(ValueError):
-        Residue(1, 6)
-
-
 def test_matrix_canonical_storage_and_equality():
     m = ResidueMatrix([[-1, 8], [3, 10]], 7)
     assert m.tolist() == [[6, 1], [3, 3]]
@@ -95,16 +96,22 @@ def test_matrix_is_immutable():
 def test_matrix_product_and_power():
     f = ResidueMatrix([[0, 1], [1, 1]], 2)
     assert (f @ f).tolist() == [[1, 1], [1, 0]]
-    assert (f ** 3).is_identity()
-    assert (f ** 0).is_identity()
-    assert (f ** -1).tolist() == [[1, 1], [1, 0]]
+    assert f @ f @ f == ResidueMatrix.identity(2, 2)
+    assert f.inverse() == f @ f
+
+
+def test_matrix_product_is_exact_for_large_moduli():
+    # each cell of these products is far beyond 2^63 before it is reduced
+    p = 10**18 + 9
+    f = ResidueMatrix([[p - 1, p - 2], [p - 3, p - 4]], p)
+    assert (f @ f).tolist() == [[7, 10], [15, 22]]
 
 
 def test_matrix_inverse_frozen():
     f = ResidueMatrix([[0, 1], [1, 1]], 2)
     assert f.inverse().tolist() == [[1, 1], [1, 0]]
     g = ResidueMatrix([[2, 1], [1, 1]], 5)
-    assert (g @ g.inverse()).is_identity()
+    assert g @ g.inverse() == ResidueMatrix.identity(2, 5)
 
 
 def test_matrix_inverse_frozen_4x4():
@@ -224,8 +231,9 @@ def invertible_matrix(draw):
 @settings(max_examples=60)
 @given(invertible_matrix())
 def test_inverse_roundtrip(m):
-    assert (m @ m.inverse()).is_identity()
-    assert (m.inverse() @ m).is_identity()
+    ident = ResidueMatrix.identity(m.rows, m.modulus)
+    assert m @ m.inverse() == ident
+    assert m.inverse() @ m == ident
 
 
 @settings(max_examples=60)
@@ -251,8 +259,9 @@ def test_matrix_order_errors():
 
 def test_bilinear_form_checks():
     form = BilinearForm(ResidueMatrix([[0, 1], [1, 0]], 3))
-    assert form.evaluate([1, 0], [0, 1]) == 1
-    assert form.evaluate([1, 0], [1, 0]) == 0
+    e0, e1 = ResidueMatrix([[1], [0]], 3), ResidueMatrix([[0], [1]], 3)
+    assert e0.T @ form.gram @ e1 == ResidueMatrix([[1]], 3)
+    assert e0.T @ form.gram @ e0 == ResidueMatrix([[0]], 3)
     with pytest.raises(ConditionViolationError):
         BilinearForm(ResidueMatrix([[0, 1], [2, 0]], 3))
     with pytest.raises(SingularMatrixError):

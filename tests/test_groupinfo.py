@@ -111,6 +111,14 @@ def test_derived_subgroup_is_searched_once(cf72, sd6, monkeypatch):
         calls.clear()
         derived_subgroup(B)
         assert sorted(calls) == ["_close", "_greedy_generators"]
+        # the derived subgroup's picks generate it, so deciding metabelian searches nothing more
+        calls.clear()
+        is_metabelian(B)
+        assert sorted(calls) == ["_close", "_greedy_generators"]
+    # one derived search, then one per Sylow block
+    calls.clear()
+    group_report(cf72)
+    assert calls.count("_greedy_generators") == 1 + len(cf72.family_blocks) == 3
 
 
 def test_abelian_and_metabelian_flags(cf72, sd6):

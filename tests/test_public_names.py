@@ -26,20 +26,20 @@ SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 PUBLIC_NAMES = """
 ActionNotAutomorphismError AsymmetricProductBrace AxiomReport AxiomsNotVerifiedError
 BelowBoundError BilinearForm BlockData BoundsReport BraceElement BracekitError
-BudgetExceededError CapExceededError ConditionViolationError CycleFamilySpec FamilyBlock
-FamilyReport FiniteBrace GroupReport IdealRecord IncompleteLatticeError KINDS
-KindPrimeMismatchError MatrixFamilySpec NoWitnessError NotAUnitError NotInvertibleError
-OrthogonalMap PrimeResult Residue ResidueMatrix SchemaError SemidirectProductBrace
-SimplicityResult SingularMatrixError SolutionFormatError SolutionReport SolutionTable
-TableBrace TrivialBrace additive_generators build_family build_prime_example check_axioms
+BudgetExceededError CapExceededError ConditionViolationError FamilyBlock FamilyReport
+FamilySpec FiniteBrace GroupReport IdealRecord IncompleteLatticeError KINDS
+KindPrimeMismatchError NoWitnessError NotAUnitError NotInvertibleError OrthogonalMap
+PrimeResult ResidueMatrix SchemaError SemidirectProductBrace SimplicityResult
+SingularMatrixError SolutionFormatError SolutionReport SolutionTable TableBrace
+TrivialBrace additive_generators build_family build_prime_example check_axioms
 check_solution companion_cyclotomic derived_subgroup divides_orthogonal_order dump_spec
 exponent_lower_bounds export_solution family_order find_orthogonal_element group_report
 hyperbolic_witness ideal_closure import_solution is_A_group is_abelian is_ideal
 is_left_ideal is_metabelian is_orthogonal is_prime is_prime_brace is_simple list_ideals
-load_spec matrix_order minimal_witness_dimension minus_id_bijective multiplicative_closure
-nonsimple_witness nu nullspace_mod orthogonal_group_order parse_spec solution_from_brace
-solve_exponents star_span sylow_left_ideals tabulate unit_order validate_spec
-verify_prime_example witness_block
+load_spec matrix_order minimal_witness_dimension minus_id_bijective
+multiplicative_closure nonsimple_witness nu nullspace_mod orthogonal_group_order
+parse_spec solution_from_brace solve_exponents star_span sylow_left_ideals tabulate
+unit_order validate_spec verify_prime_example witness_block
 """.split()
 
 
@@ -129,4 +129,4 @@ def test_package_list_is_the_concatenation_of_module_lists():
 
 def test_public_names_are_pinned():
     assert sorted(bracekit.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 85
+    assert len(PUBLIC_NAMES) == 83
