@@ -1837,6 +1837,23 @@ def test_insert_makes_one_add_call_per_coset(cf72):
     assert span.size == cf72.order and np.array_equal(np.sort(span.members), cf72.elements())
 
 
+def test_is_prime_matches_a_sieve_and_rejects_strong_pseudoprimes():
+    # the prime-index span rule decides with the one primality test of modular
+    assert bracekit.braces.is_prime is is_prime
+    # Eratosthenes: the numbers below 200000 that no smaller prime divides
+    sieve = np.ones(200_000, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(sieve.size) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    assert [n for n in range(sieve.size) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+    assert is_prime(2**61 - 1) and is_prime(2**62 - 57) and is_prime(10**18 + 9)
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7 and
+    # 3825123056546413051 to every prime base up to 31
+    for n in (2**40, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+
+
 def _is_ideal_by_definition(B, members, two_sided):
     """Reference: zero, closure under addition and invariance under the maps of every element."""
     m = np.unique(np.asarray(members, dtype=np.int64))

@@ -411,16 +411,31 @@ def test_validate_spec_failures():
     assert any("at least two blocks" in msg for msg in validate_spec(lone).failures)
 
 
-def test_family_spec_rejects_mixed_blocks():
-    # the shape is read off the blocks, so a spec that mixes the two cannot be built
-    cycle, matrix = parse_spec(CF72_DICT).blocks, parse_spec(MF72_DICT).blocks
-    for blocks in (
-        (cycle[0], dataclasses.replace(cycle[1], m=None)),
-        (dataclasses.replace(matrix[0], m=2), matrix[1]),
-    ):
-        with pytest.raises(SchemaError) as caught:
-            FamilySpec(blocks=blocks)
-        assert str(caught.value) == "blocks: field 'm' must appear in every block or in none"
+MIXED_BLOCKS = "blocks: field 'm' must appear in every block or in none"
+
+
+def test_validate_spec_cycle_block_without_slot_count():
+    # the shape is read off the blocks, so a cycle spec with a block lacking m
+    # is refused when it is made, whether from blocks or from a dict
+    blocks = parse_spec(CF72_DICT).blocks
+    with pytest.raises(SchemaError) as caught:
+        FamilySpec(blocks=(blocks[0], dataclasses.replace(blocks[1], m=None)))
+    assert str(caught.value) == MIXED_BLOCKS
+    raw = {"blocks": [CF72_DICT["blocks"][0], {k: v for k, v in CF72_DICT["blocks"][1].items() if k != "m"}]}
+    with pytest.raises(SchemaError) as caught:
+        parse_spec(raw)
+    assert str(caught.value) == MIXED_BLOCKS
+
+
+def test_validate_spec_matrix_block_with_slot_count():
+    blocks = parse_spec(MF72_DICT).blocks
+    with pytest.raises(SchemaError) as caught:
+        FamilySpec(blocks=(dataclasses.replace(blocks[0], m=2), blocks[1]))
+    assert str(caught.value) == MIXED_BLOCKS
+    raw = {"blocks": [{**MF72_DICT["blocks"][0], "m": 2}, MF72_DICT["blocks"][1]]}
+    with pytest.raises(SchemaError) as caught:
+        parse_spec(raw)
+    assert str(caught.value) == MIXED_BLOCKS
 
 
 @pytest.mark.parametrize("p", [10**12 + 39, 10**18 + 9])
