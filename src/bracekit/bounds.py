@@ -30,6 +30,7 @@ from .modular import (
     _companion,
     _distinct_primes,
     _hyperbolic_double,
+    _matrix_powers,
     _require_prime,
     hyperbolic_witness,
     minus_id_bijective,
@@ -190,23 +191,21 @@ def exponent_lower_bounds(primes) -> BoundsReport:
     return BoundsReport(primes=ps, k=k, nu_k=nu_k, minimal_dim=minimal, l=tuple(l))
 
 
-def _poly_divmod(num: list, den: list, p: int) -> tuple[list, list]:
-    """Quotient and remainder of little-endian coefficient lists, den monic."""
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    if not den or den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    quot = [0] * max(1, len(num) - len(den) + 1)
-    rem = list(num)
-    for shift in range(len(num) - len(den), -1, -1):
-        coeff = rem[shift + len(den) - 1] % p
-        if coeff:
-            quot[shift] = coeff
-            for i, d in enumerate(den):
-                rem[shift + i] = (rem[shift + i] - coeff * d) % p
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
+def _divides_cyclotomic(p1: int, p: int, low: np.ndarray) -> np.ndarray:
+    """Which monic d_i = x^k + low[i] . (1, x, ..., x^(k-1)) divide x^(p1-1) + ... + 1 over Z/(p).
+
+    That polynomial is (x^p1 - 1)/(x - 1); for p != p1 it is square-free and
+    prime to x - 1, so d divides it exactly when d(1) != 0 and d's companion
+    matrix C has C^p1 = I. Nothing of size p1 is built, and entries that could
+    overflow int64 are kept as Python ints.
+    """
+    n, k = low.shape
+    dtype = np.int64 if k * p * p < 2**63 else object
+    c = np.zeros((n, k, k), dtype=dtype)
+    c[:, np.arange(1, k), np.arange(k - 1)] = 1
+    c[:, :, -1] = -low % p
+    power = _matrix_powers(c, p1, p)
+    return (power == np.eye(k, dtype=dtype)).all(axis=(1, 2)) & ((1 + low.sum(axis=1)) % p != 0)
 
 
 def _lex_first_factor(p1: int, p: int, k: int, search_budget: int = SEARCH_BUDGET) -> list:
@@ -214,19 +213,24 @@ def _lex_first_factor(p1: int, p: int, k: int, search_budget: int = SEARCH_BUDGE
 
     Every irreducible factor of that polynomial has degree exactly k (k being
     the order of p mod p1), so a degree-k divisor always exists.  Candidates
-    are enumerated by coefficient tuple (c_0, ..., c_{k-1}); trying more than
-    search_budget of them raises BudgetExceededError.
+    are ordered by coefficient tuple (c_0, ..., c_{k-1}), c_0 first; trying
+    more than search_budget of them raises BudgetExceededError.  The
+    polynomial is 1 at x = 0, so the p^(k-1) candidates with c_0 = 0 are
+    passed over untested, and the rest are tested a block at a time.
     """
-    target = [1] * p1  # x^(p1-1) + ... + x + 1
-    for tried, coeffs in enumerate(itertools.product(range(p), repeat=k), start=1):
-        if tried > search_budget:
-            raise BudgetExceededError(
-                f"no degree-{k} divisor over Z/({p}) among the first {search_budget} candidates"
-            )
-        den = list(coeffs) + [1]
-        _, rem = _poly_divmod(target, den, p)
-        if rem == [0]:
-            return den
+    # the capped exponent keeps `first` small; past the cap it exceeds the budget anyway
+    first = p ** min(k - 1, search_budget.bit_length())
+    stop, step = min(first * p, search_budget), max(1, _BLOCK // k)
+    for lo in range(first, stop, step):
+        index = np.arange(lo, min(lo + step, stop)).astype(object)
+        low = index[:, None] // np.array([p ** (k - 1 - j) for j in range(k)], dtype=object) % p
+        hits = np.flatnonzero(_divides_cyclotomic(p1, p, low))
+        if hits.size:
+            return [int(c) for c in low[hits[0]]] + [1]
+    if first * p > search_budget:
+        raise BudgetExceededError(
+            f"no degree-{k} divisor over Z/({p}) among the first {search_budget} candidates"
+        )
     raise ConditionViolationError(
         f"no degree-{k} divisor found over Z/({p}); unit order bookkeeping is wrong"
     )
@@ -301,12 +305,7 @@ def _order_p1_candidates(p: int, p1: int, dim: int):
     for lo in range(0, total, step):
         index = np.arange(lo, min(lo + step, total), dtype=np.int64)
         f = (index[:, None] // places % p).reshape(-1, dim, dim)
-        power = f
-        for bit in bin(p1)[3:]:  # left-to-right square-and-multiply after the leading 1
-            power = power @ power % p
-            if bit == "1":
-                power = power @ f % p
-        keep = (power == ident).all(axis=(1, 2)) & ~(f == ident).all(axis=(1, 2))
+        keep = (_matrix_powers(f, p1, p) == ident).all(axis=(1, 2)) & ~(f == ident).all(axis=(1, 2))
         for entries in f[keep]:
             yield ResidueMatrix(entries, p)
 
@@ -346,9 +345,8 @@ def find_orthogonal_element(
         f, form = _hyperbolic_double(_companion(_lex_first_factor(p1, p, k, search_budget), p))
         return _checked_witness(f, form, p1)
     if dim == 2 * (p1 - 1):
-        form, witness = hyperbolic_witness(p1, p)
-        return witness
-    if p ** (dim * dim) > search_budget:
+        return hyperbolic_witness(p1, p)[1]
+    if p ** min(dim * dim, search_budget.bit_length()) > search_budget:
         raise BudgetExceededError(
             f"{p}^{dim * dim} candidate matrices exceed the budget of {search_budget}"
         )

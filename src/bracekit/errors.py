@@ -9,8 +9,6 @@ everything else to exit code 1.
 __all__ = [
     "BracekitError",
     "SingularMatrixError",
-    "NotInvertibleError",
-    "CapExceededError",
     "NotAUnitError",
     "BudgetExceededError",
     "ConditionViolationError",
@@ -31,14 +29,6 @@ class BracekitError(Exception):
 
 class SingularMatrixError(BracekitError):
     """A matrix that needed an inverse (or a non-zero determinant) is singular."""
-
-
-class NotInvertibleError(BracekitError):
-    """Order was requested for a matrix that is not invertible."""
-
-
-class CapExceededError(BracekitError):
-    """An order computation ran past its explicit cap."""
 
 
 class NotAUnitError(BracekitError):

@@ -28,6 +28,7 @@ from .braces import (
     is_left_ideal,
 )
 from .errors import ConditionViolationError
+from .modular import _factorize
 
 __all__ = [
     "GroupReport",
@@ -99,22 +100,6 @@ def _is_abelian_subgroup(B: FiniteBrace, members) -> bool:
 def is_metabelian(B: FiniteBrace) -> bool:
     """True when the derived subgroup of (B, mul) is abelian: when its generators commute."""
     return _pairwise_commuting(B, _derived_search(B)[0])
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _additive_multiple(B: FiniteBrace, k: int, xs: np.ndarray) -> np.ndarray:

@@ -9,23 +9,25 @@ exact over a field. It works on lists of Python ints, not numpy rows: the
 matrices here are at most a few dozen rows wide, so numpy's per-call overhead
 would outweigh its vectorised row operations. Entries are stored as int64
 and products are formed in Python ints before they are reduced, so every
-operation is exact for every modulus below 2^62. Every modulus is checked
-prime at construction time, by a deterministic Miller-Rabin test that costs
-a dozen modular powers whatever its size, so invalid data fails fast rather
-than corrupting downstream algebra.
+operation is exact for every modulus below 2^62; larger moduli are refused,
+as a sum of two entries could wrap. Every modulus is checked prime at
+construction time, by a deterministic Miller-Rabin test that costs a dozen
+modular powers whatever its size, so invalid data fails fast rather than
+corrupting downstream algebra. No order is found by stepping through powers:
+f has the prime order q exactly when f != I and f^q = I (``has_prime_order``,
+O(log q) products), and ``unit_order`` factors p - 1, which the order of a
+unit divides, and divides out each prime factor r while a^((p-1)/r) = 1.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from collections import Counter
+
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    ConditionViolationError,
-    NotAUnitError,
-    NotInvertibleError,
-    SingularMatrixError,
-)
+from .errors import ConditionViolationError, NotAUnitError, SingularMatrixError
 
 __all__ = [
     "is_prime",
@@ -35,7 +37,7 @@ __all__ = [
     "OrthogonalMap",
     "nullspace_mod",
     "is_orthogonal",
-    "matrix_order",
+    "has_prime_order",
     "companion_cyclotomic",
     "hyperbolic_witness",
     "minus_id_bijective",
@@ -64,6 +66,8 @@ def is_prime(n: int) -> bool:
     for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # no prime factor up to 37, so none at all
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -82,6 +86,8 @@ def is_prime(n: int) -> bool:
 
 def _require_prime(p: int) -> int:
     p = int(p)
+    if p >= 2**62:
+        raise ValueError(f"modulus {p} is not below 2^62, the bound for exact int64 arithmetic")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p
@@ -103,11 +109,44 @@ def unit_order(a: int, p: int) -> int:
     a = int(a) % p
     if a == 0:
         raise NotAUnitError(f"{a} is not a unit modulo {p}")
-    e, x = 1, a
-    while x != 1:
-        x = x * a % p
-        e += 1
-    return e
+    order = p - 1
+    for r, _ in _factorize(p - 1):
+        while order % r == 0 and pow(a, order // r, p) == 1:
+            order //= r
+    return order
+
+
+@functools.lru_cache(maxsize=256)
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
+
+    Pollard's rho (BIT 15, 1975) splits composite parts and ``is_prime``
+    settles each part. Cached, as ``unit_order`` asks for p - 1 once per unit.
+    """
+    primes, parts = [], [int(n)]
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            primes.append(m)
+        elif m > 1:
+            d = _rho_divisor(m)
+            parts += [d, m // d]
+    return tuple(sorted(Counter(primes).items()))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the composite n: Floyd's cycle search on x -> x^2 + c."""
+    if n % 2 == 0:
+        return 2
+    for c in range(1, n):
+        x, y, d = 2, 2, 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+        if d != n:
+            return d
 
 
 class ResidueMatrix:
@@ -304,39 +343,44 @@ def is_orthogonal(f: ResidueMatrix, form: BilinearForm) -> bool:
     return f.T @ form.gram @ f == form.gram
 
 
-def matrix_order(f: ResidueMatrix, cap: int) -> int:
-    """Least e >= 1 with f^e = identity; the explicit cap guarantees termination.
+def has_prime_order(f: ResidueMatrix, q: int) -> bool:
+    """Whether f has order exactly the prime q: f != I and f^q = I.
 
-    Raises NotInvertibleError for singular input and CapExceededError when the
-    order exceeds ``cap``.
+    f^q comes from square-and-multiply in O(log q) products. Raises
+    ValueError unless q is prime: f^4 = I does not make 4 the order of f.
     """
     if f.rows != f.cols:
         raise ValueError("order of a non-square matrix")
-    cap = int(cap)
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    if f.det() == 0:
-        raise NotInvertibleError("matrix is singular, no multiplicative order")
-    ident = ResidueMatrix.identity(f.rows, f.modulus)
-    g = f
-    for e in range(1, cap + 1):
-        if g == ident:
-            return e
-        g = g @ f
-    raise CapExceededError(f"order exceeds cap {cap}")
+    if not is_prime(q):
+        raise ValueError(f"order {q} is not prime")
+    ident = np.eye(f.rows, dtype=np.int64)
+    power = _matrix_powers(f.array.astype(object), q, f.modulus)  # Python ints: no wrap
+    return not np.array_equal(f.array, ident) and np.array_equal(power, ident)
+
+
+def _matrix_powers(f: np.ndarray, e: int, p: int) -> np.ndarray:
+    """f^e over Z/(p) for a matrix or a stack of them, by left-to-right square-and-multiply."""
+    power = f
+    for bit in bin(e)[3:]:
+        power = power @ power % p
+        if bit == "1":
+            power = power @ f % p
+    return power
 
 
 class OrthogonalMap:
-    """An invertible map together with the form it preserves and its cached order."""
+    """A map of prime order together with the form it preserves; both are checked."""
 
     __slots__ = ("matrix", "form", "order")
 
-    def __init__(self, matrix: ResidueMatrix, form: BilinearForm, *, order_cap: int = 10_000):
+    def __init__(self, matrix: ResidueMatrix, form: BilinearForm, order: int):
         if not is_orthogonal(matrix, form):
             raise ConditionViolationError("matrix does not preserve the form")
+        if not has_prime_order(matrix, order):
+            raise ConditionViolationError(f"matrix does not have order {order}")
         self.matrix = matrix
         self.form = form
-        self.order = matrix_order(matrix, order_cap)
+        self.order = int(order)
 
     @property
     def dim(self) -> int:
@@ -393,10 +437,7 @@ def _checked_witness(f: ResidueMatrix, form: BilinearForm, order: int) -> Orthog
     """f as an OrthogonalMap, after checking f - id is bijective and f has ``order``."""
     if not minus_id_bijective(f):
         raise ConditionViolationError("witness fails: f - id is not bijective")
-    witness = OrthogonalMap(f, form, order_cap=order)
-    if witness.order != order:
-        raise ConditionViolationError(f"witness fails: order {witness.order} != {order}")
-    return witness
+    return OrthogonalMap(f, form, order)
 
 
 def hyperbolic_witness(q: int, p: int) -> tuple[BilinearForm, OrthogonalMap]:

@@ -21,14 +21,12 @@ from bracekit.bounds import (
     orthogonal_group_order,
     witness_block,
 )
-from bracekit.bounds import _lex_first_factor, _order_p1_candidates, _poly_divmod
+from bracekit.bounds import _divides_cyclotomic, _lex_first_factor, _order_p1_candidates
 from bracekit.construct import build_family, parse_spec
 from bracekit.errors import (
     BudgetExceededError,
-    CapExceededError,
     ConditionViolationError,
     KindPrimeMismatchError,
-    NotInvertibleError,
     NoWitnessError,
 )
 from bracekit.modular import (
@@ -36,7 +34,6 @@ from bracekit.modular import (
     companion_cyclotomic,
     hyperbolic_witness,
     is_orthogonal,
-    matrix_order,
     minus_id_bijective,
 )
 
@@ -149,15 +146,39 @@ def test_exponent_lower_bounds_guards():
         exponent_lower_bounds((5,))
 
 
+def _remainder(num, den, p):
+    """Reference: remainder of little-endian num by monic den over Z/(p), by long division."""
+    rem = [c % p for c in num]
+    for shift in range(len(rem) - len(den), -1, -1):
+        coeff = rem[shift + len(den) - 1]
+        for i, d in enumerate(den):
+            rem[shift + i] = (rem[shift + i] - coeff * d) % p
+    return rem[: len(den) - 1]
+
+
 def test_poly_division():
-    # x^2 + x + 1 splits off (x + 3) over Z/(7): remainder zero, quotient x + 5
-    quot, rem = _poly_divmod([1, 1, 1], [3, 1], 7)
-    assert rem == [0]
-    assert quot == [5, 1]
-    _, rem = _poly_divmod([1, 1, 1], [1, 1], 7)
-    assert rem != [0]
+    # x^2 + x + 1 splits off (x + 3) over Z/(7), and not (x + 1)
+    assert _divides_cyclotomic(3, 7, np.array([[3], [1]], dtype=object)).tolist() == [True, False]
     assert _lex_first_factor(3, 7, 1) == [3, 1]
     assert _lex_first_factor(3, 2, 2) == [1, 1, 1]
+    # every monic divisor test agrees with long division of x^(p1-1) + ... + 1;
+    # degree-k divisors exist only when k is a multiple of the order of p mod p1
+    for p1, p, k in [(3, 7, 1), (3, 7, 2), (3, 2, 2), (5, 2, 4), (7, 2, 3), (7, 2, 2),
+                     (7, 3, 4), (13, 3, 3), (11, 5, 5)]:
+        low = np.array(list(itertools.product(range(p), repeat=k)), dtype=object)
+        expected = [not any(_remainder([1] * p1, list(c) + [1], p)) for c in low.tolist()]
+        assert _divides_cyclotomic(p1, p, low).tolist() == expected
+        assert any(expected) == (pow(p, k, p1) == 1)
+
+
+def _order_by_steps(f, cap):
+    """Reference: least e <= cap with f^e = I by one product per step, or None."""
+    ident, g = ResidueMatrix.identity(f.rows, f.modulus), f
+    for e in range(1, cap + 1):
+        if g == ident:
+            return e
+        g = g @ f
+    return None
 
 
 def _assert_witness(w, p, p1, dim):
@@ -166,7 +187,7 @@ def _assert_witness(w, p, p1, dim):
     assert w.order == p1
     assert is_orthogonal(w.matrix, w.form)
     assert minus_id_bijective(w.matrix)
-    assert matrix_order(w.matrix, cap=p1) == p1
+    assert _order_by_steps(w.matrix, p1) == p1
     assert w.form.gram.det() != 0
 
 
@@ -251,15 +272,12 @@ def test_no_witness_below_minimal():
 
 
 def _order_p1_by_brute_force(p, p1, dim):
-    """Reference: every matrix with matrix_order(f, cap=p1) == p1, in itertools.product order."""
+    """Reference: every matrix of order p1, by stepping through powers, in product order."""
     found = []
     for entries in itertools.product(range(p), repeat=dim * dim):
         f = ResidueMatrix(np.array(entries).reshape(dim, dim), p)
-        try:
-            if matrix_order(f, cap=p1) == p1:
-                found.append(f)
-        except (NotInvertibleError, CapExceededError):
-            pass
+        if _order_by_steps(f, p1) == p1:
+            found.append(f)
     return found
 
 

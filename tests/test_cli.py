@@ -6,6 +6,9 @@ acceptance suite cross-checks its lattice with its own seeded closures.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,8 @@ import pytest
 from bracekit.cli import _build_parser, run
 from bracekit.ybe import SolutionTable, _render, import_solution
 
-SPECS = Path(__file__).resolve().parent.parent / "demos" / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "demos" / "specs"
 CF72 = str(SPECS / "cf72.json")
 NS216 = str(SPECS / "ns216.json")
 MF72 = str(SPECS / "mf72.json")
@@ -158,6 +162,92 @@ def test_witness_over_a_large_prime(capsys):
     assert run(["witness", "--p", "1000000000039", "--p1", "2"]) == 0
     block = json.loads(capsys.readouterr().out)
     assert block == {"p": 1000000000039, "gram": [[1]], "f": [[1000000000038]], "m": 1, "r": 1}
+
+
+def _run_in_subprocess(*argv):
+    """``bracekit argv`` in a fresh interpreter, so a hang fails the test after 30 s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "from bracekit.cli import main; main()"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+
+
+def test_bounds_over_a_large_prime():
+    # the order of 3 mod 10^12 + 39 was once found by one product per unit of it
+    proc = _run_in_subprocess("bounds", "--primes", "3,1000000000039", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["k"] == [1000000000038, 1]
+
+
+@pytest.mark.parametrize("p, p1", [(1000000000039, 3), (3, 1000000000039)])
+def test_witness_over_a_large_prime_ends_with_its_budget_error(p, p1):
+    # no degree-k divisor among the first 10^6 candidates: for k = 1 every
+    # x + c with c < 10^6 misses, for k = p1 - 1 every candidate has c_0 = 0
+    proc = _run_in_subprocess("witness", "--p", str(p), "--p1", str(p1))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.endswith("among the first 1000000 candidates\n")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "f0, p1, failures",
+    [
+        # f = diag(2, 2^-1) has order dividing p - 1, far from the next prime
+        (
+            [[2, 0], [0, 500000000020]],
+            1000000000000000009,
+            [
+                "blocks[0].f: order does not divide the preceding prime 1000000000000000009",
+                "blocks[1].f: order 1, expected the preceding prime 1000000000039",
+            ],
+        ),
+        # 2^((p - 1)/26005097) has the prime order 26005097, which divides p - 1
+        (
+            [[pow(2, 38454, 1000000000039), 0], [0, pow(2, -38454, 1000000000039)]],
+            26005097,
+            ["blocks[1].f: order 1, expected the preceding prime 1000000000039"],
+        ),
+    ],
+)
+def test_build_checks_map_orders_over_large_primes(tmp_path, f0, p1, failures):
+    spec = {"blocks": [
+        {"p": 1000000000039, "gram": [[0, 1], [1, 0]], "f": f0, "m": 1, "r": 1},
+        {"p": p1, "gram": [[1]], "f": [[1]], "m": 1, "r": 1},
+    ]}
+    (tmp_path / "large.json").write_text(json.dumps(spec))
+    proc = _run_in_subprocess("build", "--spec", str(tmp_path / "large.json"))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"invalid spec: {line}" for line in failures]
+
+
+def test_modulus_from_2_62_is_refused(tmp_path):
+    # 2^63 - 25 is prime, but sums of int64 entries wrap there
+    proc = _run_in_subprocess("bounds", "--primes", "3,9223372036854775783")
+    assert proc.returncode == 2
+    assert "not below 2^62" in proc.stderr
+    spec = {"blocks": [
+        {"p": 9223372036854775783, "gram": [[1]], "f": [[1]], "m": 1, "r": 1},
+        {"p": 3, "gram": [[1]], "f": [[2]], "m": 1, "r": 1},
+    ]}
+    (tmp_path / "wide.json").write_text(json.dumps(spec))
+    proc = _run_in_subprocess("build", "--spec", str(tmp_path / "wide.json"))
+    assert proc.returncode == 2
+    assert "not below 2^62" in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["gram", "f"])
+def test_build_rejects_entries_beyond_int64(tmp_path, capsys, field):
+    spec = {"blocks": [
+        {"p": 2, "gram": [[1]], "f": [[1]], "m": 1, "r": 1},
+        {"p": 3, "gram": [[1]], "f": [[2]], "m": 1, "r": 1},
+    ]}
+    spec["blocks"][0][field] = [[10**29]]
+    (tmp_path / "wide.json").write_text(json.dumps(spec))
+    assert run(["build", "--spec", str(tmp_path / "wide.json")]) == 2
+    assert f"blocks[0].{field}: entries must fit" in capsys.readouterr().err
 
 
 def test_witness_no_witness_exits_one(capsys):

@@ -455,6 +455,53 @@ def test_validate_spec_over_a_large_prime(p):
     assert report.failures == [f"blocks[1].f: order 1, expected the preceding prime {p}"]
 
 
+def test_validate_spec_order_messages():
+    # f = diag(2, 3) over Z/5 preserves [[0, 1], [1, 0]] and has order 4
+    hyperbolic, f4 = [[0, 1], [1, 0]], [[2, 0], [0, 3]]
+    not_dividing = parse_spec(
+        {
+            "blocks": [
+                {"p": 5, "gram": hyperbolic, "f": f4, "m": 1, "r": 1},
+                {"p": 3, "gram": [[1]], "f": [[2]], "m": 1, "r": 1},
+            ]
+        }
+    )
+    report = validate_spec(not_dividing)
+    assert report.failures == [
+        "blocks[0].f: order does not divide the preceding prime 3",
+        "blocks[1].f: order does not divide the preceding prime 5",
+    ]
+    assert [info["map_order"] for info in report.blocks] == [None, None]
+    # after a composite "prime" 4 no order is compared: f^4 = I must not pass as order 4
+    after_composite = parse_spec(
+        {
+            "blocks": [
+                {"p": 4, "gram": [[1]], "f": [[1]], "m": 1, "r": 1},
+                {"p": 5, "gram": hyperbolic, "f": f4, "m": 1, "r": 1},
+            ]
+        }
+    )
+    report = validate_spec(after_composite)
+    assert report.failures == ["blocks[0].p: 4 is not prime"]
+    assert report.blocks[1]["map_order"] is None
+
+
+def test_parse_spec_bounds_entries_to_int64():
+    def spec_with(entry):
+        return {
+            "blocks": [
+                {"p": 2, "gram": [[1]], "f": [[entry]], "m": 1, "r": 1},
+                {"p": 3, "gram": [[1]], "f": [[2]], "m": 1, "r": 1},
+            ]
+        }
+
+    assert parse_spec(spec_with(2**63 - 1)).blocks[0].f == ((2**63 - 1,),)
+    assert parse_spec(spec_with(-(2**63))).blocks[0].f == ((-(2**63),),)
+    for entry in (2**63, -(2**63) - 1, 10**29):
+        with pytest.raises(SchemaError, match=r"blocks\[0\]\.f: entries must fit"):
+            parse_spec(spec_with(entry))
+
+
 def test_build_rejects_invalid_spec():
     spec = parse_spec(
         {

@@ -7,22 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracekit.errors import (
-    CapExceededError,
-    ConditionViolationError,
-    NotAUnitError,
-    NotInvertibleError,
-    SingularMatrixError,
-)
+from bracekit.errors import ConditionViolationError, NotAUnitError, SingularMatrixError
 from bracekit.modular import (
     BilinearForm,
     OrthogonalMap,
     ResidueMatrix,
+    _factorize,
     companion_cyclotomic,
+    has_prime_order,
     hyperbolic_witness,
     is_orthogonal,
     is_prime,
-    matrix_order,
     minus_id_bijective,
     nullspace_mod,
     unit_order,
@@ -67,6 +62,70 @@ def test_unit_order_divides_group_order(p, a):
     e = unit_order(a, p)
     assert (p - 1) % e == 0
     assert pow(a, e, p) == 1
+
+
+def _unit_orders_by_stepping(primes):
+    """Reference: (a, p, order of a mod p) for every unit a of every p, one product per step.
+
+    All rows step together in int32 (p < 2^15 keeps x * a exact); settled rows
+    are dropped every 32 steps, since a gather per step would cost more.
+    """
+    p = np.concatenate([np.full(q - 1, q, dtype=np.int32) for q in primes])
+    a = np.concatenate([np.arange(1, q, dtype=np.int32) for q in primes])
+    order = np.zeros(a.size, dtype=np.int64)
+    rows, x, got = np.arange(a.size), a.copy(), np.zeros(a.size, dtype=np.int64)
+    step, mod = a, p
+    for e in itertools.count(1):
+        got[(x == 1) & (got == 0)] = e
+        if e % 32 == 0:
+            done = got > 0
+            order[rows[done]] = got[done]
+            if done.all():
+                return a, p, order
+            rows, x, got, step, mod = rows[~done], x[~done], got[~done], step[~done], mod[~done]
+        x = x * step % mod
+
+
+def test_unit_order_matches_a_step_loop():
+    primes = [q for q in range(2, 2000) if is_prime(q)]
+    a, p, order = _unit_orders_by_stepping(primes)
+    assert order.min() >= 1
+    assert [unit_order(ai, pi) for ai, pi in zip(a.tolist(), p.tolist())] == order.tolist()
+
+
+@pytest.mark.parametrize("p", [10**7 + 19, 10**12 + 39, 10**18 + 9])
+def test_unit_order_over_a_large_prime(p):
+    # the step loop made one product per unit of the order: 5,000,009 of them at 10^7 + 19
+    e = unit_order(3, p)
+    assert (p - 1) % e == 0 and pow(3, e, p) == 1
+    assert all(pow(3, e // r, p) != 1 for r, _ in _factorize(e))
+
+
+def _factorize_by_trial_division(n):
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        if e:
+            out.append((d, e))
+        d += 1
+    return tuple(out + [(n, 1)] * (n > 1))
+
+
+def test_factorize_matches_trial_division():
+    assert _factorize(1) == ()
+    for n in range(1, 10**4):
+        assert _factorize(n) == _factorize_by_trial_division(n), n
+
+
+def test_factorize_splits_semiprimes_near_2_62():
+    # three primes just below 2^31: each product of two sits just below 2^62
+    r, s, t = 2147483587, 2147483629, 2147483647
+    assert _factorize(s * t) == ((s, 1), (t, 1))
+    assert _factorize(r * t) == ((r, 1), (t, 1))
+    assert _factorize(t * t) == ((t, 2),)
+    assert _factorize(2**62 - 57) == ((2**62 - 57, 1),)  # the largest prime below 2^62
 
 
 def test_matrix_canonical_storage_and_equality():
@@ -233,18 +292,49 @@ def test_det_multiplicative_with_inverse(m):
     assert d * m.inverse().det() % m.modulus == 1
 
 
-def test_matrix_order_frozen():
-    f = ResidueMatrix([[0, 1], [1, 1]], 2)
-    assert matrix_order(f, 10) == 3
-    assert matrix_order(ResidueMatrix.identity(2, 3), 10) == 1
-    assert matrix_order(ResidueMatrix([[2]], 5), 10) == 4
+def test_has_prime_order_frozen():
+    f = ResidueMatrix([[0, 1], [1, 1]], 2)  # order 3
+    assert has_prime_order(f, 3)
+    assert not has_prime_order(f, 2) and not has_prime_order(f, 5)
+    assert not has_prime_order(ResidueMatrix.identity(2, 3), 2)  # order 1
+    assert not has_prime_order(ResidueMatrix([[2]], 5), 2)  # order 4: 2^2 = 4 != 1
+    assert has_prime_order(ResidueMatrix([[4]], 5), 2)
+    assert not has_prime_order(ResidueMatrix([[0]], 5), 3)  # singular: no power is I
+    assert not has_prime_order(ResidueMatrix([[3]], 7), 3)  # order of 3 mod 7 is 6
+    assert has_prime_order(ResidueMatrix([[2]], 7), 3)
 
 
-def test_matrix_order_errors():
-    with pytest.raises(NotInvertibleError):
-        matrix_order(ResidueMatrix([[0]], 5), 10)
-    with pytest.raises(CapExceededError):
-        matrix_order(ResidueMatrix([[3]], 7), 3)  # order of 3 mod 7 is 6
+def test_has_prime_order_errors():
+    # a composite q would accept f^4 = I as "order 4" for the order-2 map -1
+    with pytest.raises(ValueError, match="order 4 is not prime"):
+        has_prime_order(ResidueMatrix([[4]], 5), 4)
+    with pytest.raises(ValueError, match="non-square"):
+        has_prime_order(ResidueMatrix([[1, 0]], 5), 2)
+
+
+def test_has_prime_order_over_large_primes():
+    # f = diag(2, 2^-1) has order p - 1 over Z/(p); its order-q powers are checked in O(log q)
+    p = 10**12 + 39
+    q = 26005097  # a prime factor of p - 1
+    g = pow(2, (p - 1) // q, p)
+    assert g != 1
+    f = ResidueMatrix([[g, 0], [0, pow(g, -1, p)]], p)
+    assert has_prime_order(f, q)
+    assert not has_prime_order(f, 10**18 + 9)
+
+
+def test_modulus_bound():
+    # at 2^62 and above a sum of two entries could wrap: over p = 2^63 - 25,
+    # [[p - 1]] + [[p - 1]] once came out as 9223372036854775731
+    assert is_prime(2**63 - 25)
+    with pytest.raises(ValueError, match="not below 2\\^62"):
+        ResidueMatrix([[1]], 2**63 - 25)
+    with pytest.raises(ValueError, match="not below 2\\^62"):
+        unit_order(3, 2**63 - 25)
+    p = 2**62 - 57
+    m = ResidueMatrix([[p - 1]], p)
+    assert (m + m).tolist() == [[p - 2]]
+    assert (-m - m).tolist() == [[2]]
 
 
 def test_bilinear_form_checks():
@@ -267,8 +357,18 @@ def test_is_orthogonal():
 
 def test_orthogonal_map_rejects_non_preserving():
     form = BilinearForm(ResidueMatrix.identity(2, 3))
-    with pytest.raises(ConditionViolationError):
-        OrthogonalMap(ResidueMatrix([[1, 1], [0, 1]], 3), form)
+    with pytest.raises(ConditionViolationError, match="does not preserve the form"):
+        OrthogonalMap(ResidueMatrix([[1, 1], [0, 1]], 3), form, 3)
+
+
+def test_orthogonal_map_checks_its_order():
+    form = BilinearForm(ResidueMatrix.identity(2, 3))
+    rot = ResidueMatrix([[0, 2], [1, 0]], 3)  # order 4
+    assert OrthogonalMap(-ResidueMatrix.identity(2, 3), form, 2).order == 2
+    with pytest.raises(ConditionViolationError, match="does not have order 2"):
+        OrthogonalMap(rot, form, 2)
+    with pytest.raises(ValueError, match="order 4 is not prime"):
+        OrthogonalMap(rot, form, 4)
 
 
 def test_companion_cyclotomic_frozen():
@@ -283,7 +383,7 @@ def test_companion_cyclotomic_frozen():
 def test_companion_has_order_q(qp):
     q, p = qp
     c = companion_cyclotomic(q, p)
-    assert matrix_order(c, q + 1) == q
+    assert has_prime_order(c, q)
 
 
 def test_hyperbolic_witness_small_cases():
