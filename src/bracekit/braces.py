@@ -99,6 +99,8 @@ class FiniteBrace:
         # (generators, (2k, order) int32 tables of lambda_g and conjugation by g),
         # assigned once by the first ideal query
         self._ideal_tables: Optional[tuple[np.ndarray, np.ndarray]] = None
+        # the (order, order) addition table of a small carrier, assigned once by _addition
+        self._add_table: Optional[np.ndarray] = None
         # the last left factor star_span reduced: (member bytes, generators or None)
         self._left_gens: Optional[tuple[bytes, Optional[np.ndarray]]] = None
 
@@ -988,25 +990,27 @@ def _draw_triples(n: int, trials: int, seed: int) -> np.ndarray:
     return draw
 
 
-def _check_triples(n: int, laws: dict, mode: str, trials: int, seed: int):
+def _check_triples(n: int, laws: dict, mode: str, trials: int, seed: int, third=None):
     """Run triple laws over all n^3 index triples or over a seeded sample.
 
     Each law maps index arrays a, b, c (broadcastable against each other) to
-    an array that is True where the law holds. "exhaustive" walks a in order,
-    "sampled" walks one seeded draw of ``trials`` triples in the smallest
-    dtype (``_draw_triples``); both walks go in slices of about _BLOCK
-    triples, a sampled slice widened to int64 on its own. The report is that
-    of checking every triple at once: the failure is the first law in order
+    an array that is True where the law holds. "exhaustive" walks a and b in
+    order and c over ``third`` (all n values when None), "sampled" walks one
+    seeded draw of ``trials`` triples in the smallest dtype
+    (``_draw_triples``); both walks go in slices of about _BLOCK triples, a
+    sampled slice widened to int64 on its own. The report is that of
+    checking every triple at once: the failure is the first law in order
     that fails anywhere, at its first failing triple in walk order. A law
     that failed is not run again. Returns each law's verdict, the failure
     (law name, (a, b, c)) or None, and the number of triples covered.
     """
     if mode == "exhaustive":
         every = np.arange(n, dtype=np.int64)
-        bs, cs = every[None, :, None], every[None, None, :]
-        part = max(1, _BLOCK // max(1, n * n))  # values of a per slice
+        thirds = every if third is None else np.asarray(third, dtype=np.int64)
+        bs, cs = every[None, :, None], thirds[None, None, :]
+        part = max(1, _BLOCK // max(1, n * thirds.size))  # values of a per slice
         walk = ((every[lo : lo + part, None, None], bs, cs) for lo in range(0, n, part))
-        covered = n**3
+        covered = n * n * thirds.size
     else:
         covered = int(trials)
         if covered < 1:
@@ -1029,6 +1033,30 @@ def _check_triples(n: int, laws: dict, mode: str, trials: int, seed: int):
     return {name: name not in firsts for name in laws}, failure, covered
 
 
+def _word_generators(table: np.ndarray) -> np.ndarray:
+    """Greedy G whose nonempty left-normed words (..(g1 g2)..) gk reach every element of ``table``.
+
+    ``table[x, y]`` is the product x y of an operation on 0..n-1, not assumed
+    associative or invertible. The elements are taken in reverse order, as
+    in ``_ideal_maps`` (4 picks on cf72's addition table and 3 on its
+    multiplication table, against 6 each in index order), and each one
+    outside the words W of the earlier picks is picked. The words of the
+    picks then grow from W x and x by x -> x g over every pick g, by
+    gathers: W g is already in W for the earlier picks g.
+    """
+    covered = np.zeros(len(table), dtype=bool)
+    picks: list[int] = []
+    for x in range(len(table) - 1, -1, -1):
+        if not covered[x]:
+            picks.append(x)
+            fresh = np.append(table[covered, x], x)
+            fresh = fresh[~covered[fresh]]
+            covered[fresh] = True
+            gens = np.array(picks)
+            _close(covered, fresh, lambda f: table[f[:, None], gens])
+    return np.array(picks, dtype=np.int64)
+
+
 def check_axioms(
     B: FiniteBrace,
     mode: str = "auto",
@@ -1037,21 +1065,41 @@ def check_axioms(
 ) -> AxiomReport:
     """Verify the brace axioms on ``B``.
 
-    ``mode`` is "exhaustive" (all pairs and triples), "sampled" (seeded random
-    triples; identity and inverse laws stay exhaustive since they are linear
-    scans), or "auto", which picks exhaustive for orders up to
-    ``EXHAUSTIVE_CAP``. The report is cached on the brace instance.
-    Commutativity, on the first two entries of each triple, and the three
-    triple laws are one ``_check_triples`` walk in 2^15-triple slices, over a
-    single seeded draw of ``trials`` triples when sampled. Its report is that
-    of checking every triple at once: the first law in that order that fails
-    anywhere, at its first failing triple.
+    ``mode`` is "exhaustive" (every pair and triple, or an argument that
+    covers them, below), "sampled" (seeded random triples; identity and
+    inverse laws stay exhaustive since they are linear scans), or "auto",
+    which picks exhaustive for orders up to ``EXHAUSTIVE_CAP``. The report is
+    cached on the brace instance. Commutativity, on the first two entries of
+    each triple, and the three triple laws are one ``_check_triples`` walk in
+    2^15-triple slices, over a single seeded draw of ``trials`` triples when
+    sampled. Its report is that of checking every triple at once: the first
+    law in that order that fails anywhere, at its first failing triple.
 
     The identity and inverse scans run through the kernels. Commutativity and
     the triple laws gather from the (add, mul) tables of ``tabulate`` when a
     table is no larger than the check, n^2 <= the number of triples (n^3 in
     exhaustive mode, ``trials`` when sampled), and otherwise run through the
     kernels; both give the same report. The tables are not kept.
+
+    Exhaustive mode decides the triple laws over (a, b, g) with g in a set G
+    whose nonempty left-normed words (..(g1 g2)..) gk reach every element
+    (``_word_generators``), n^2 |G| triples in place of n^3:
+
+    - Associativity on every (a, b, g) gives it on every (a, b, c) (Light's
+      test): for c = c'g, (ab)c = ((ab)c')g = (a(bc'))g = a((bc')g) = a(bc),
+      by induction on the length of c. G comes from the addition table for
+      additive associativity and from the multiplication table for the
+      multiplicative one. Commutativity is a law on pairs, and every pair
+      (a, b) is among the triples.
+    - Once (B, +) is an abelian group, which the identity and inverse scans
+      and these two additive laws show, compatibility says that
+      f_a(x) = a x - a is additive for every a (Cedo-Jespers-Okninski,
+      arXiv:1807.06408). f_a(x + g) = f_a(x) + f_a(g) for every x and every
+      g in the additive G gives it for all sums, by the same induction.
+
+    A law that fails on the (a, b, g), and compatibility when (B, +) is not
+    shown to be an abelian group, runs again over all n^3 triples. So each
+    verdict, the counterexample and ``trials`` are those of the n^3 check.
     """
     n = B.order
     if mode == "auto":
@@ -1115,8 +1163,32 @@ def check_axioms(
         "multiplicative_associativity": lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c)),
         "compatibility": lambda a, b, c: add(mul(a, add(b, c)), a) == add(mul(a, b), mul(a, c)),
     }
-    verdicts, failure, covered = _check_triples(n, laws, mode, trials, seed)
-    checks.update(verdicts)
+    if mode == "exhaustive":
+        # the arguments of the docstring over (a, b, g), then n^3 triples for what they leave open
+        verdicts = {}
+        for names, table in (
+            (("additive_commutativity", "additive_associativity", "compatibility"), add_t),
+            (("multiplicative_associativity",), mul_t),
+        ):
+            walked = {name: laws[name] for name in names}
+            gens = _word_generators(table)
+            verdicts.update(_check_triples(n, walked, mode, trials, seed, gens)[0])
+        group = (
+            checks["additive_identity"]
+            and checks["additive_inverses"]
+            and verdicts["additive_commutativity"]
+            and verdicts["additive_associativity"]
+        )
+        again = {
+            name: law
+            for name, law in laws.items()
+            if not verdicts[name] or (name == "compatibility" and not group)
+        }
+        rerun, failure, _ = _check_triples(n, again, mode, trials, seed)
+        verdicts.update(rerun)
+    else:
+        verdicts, failure, covered = _check_triples(n, laws, mode, trials, seed)
+    checks.update({name: verdicts[name] for name in laws})
     if failure is not None:
         name, triple = failure
         failures.append((name, triple[:2] if name == "additive_commutativity" else triple))
@@ -1133,24 +1205,46 @@ def check_axioms(
     return report
 
 
+def _addition(B: FiniteBrace):
+    """B's addition for ``_AdditiveSpan``: gathers from a cached table on small carriers.
+
+    When the (order, order) table fits in one kernel block (order^2 <=
+    _BLOCK, so order <= 181), one ``add`` call builds it, at most 256 KiB,
+    and it is assigned to the brace once, complete, so threads may share
+    it; each coset step is then a gather. Every other carrier adds through
+    the kernel: its table would cost more set-up and memory than its few
+    coset steps save.
+    """
+    if B.order * B.order > _BLOCK:
+        return B.add
+    table = B._add_table
+    if table is None:
+        every = B.elements()
+        table = B._add_table = B.add(every[:, None], every[None, :])
+    return lambda x, y: table[x, y]
+
+
 class _AdditiveSpan:
     """Growing additive subgroup, tracked as a bitmask plus member chunks.
 
     ``insert`` adds a whole cyclic tower of cosets at once: for a new element
     x it walks x, 2x, 3x, ... and unions the coset H + kx for each step that
     lands outside the current subgroup H, which keeps the number of insert
-    calls logarithmic in the subgroup size. Each step is one kernel call: H
-    with x appended, plus kx, gives the coset and the next step's kx + x
-    together. When the index [B:H] is prime, H + <x> is the whole carrier
-    and no coset is computed (``insert``). ``insert_many`` is the one greedy
-    walk over a pool of values: additive generators, star products, ideal
-    closures and ideal tests all grow their spans through it. The members
-    are kept in the order they were added, so ``members[k:]`` is what came
-    after the span held k elements.
+    calls logarithmic in the subgroup size. Each step is one addition from
+    ``_addition``, a kernel call or, on a carrier of order at most 181, a
+    gather from its addition table: H with x appended, plus kx, gives the
+    coset and the next step's kx + x together. When the index [B:H] is
+    prime, H + <x> is the whole carrier and no coset is computed
+    (``insert``). ``insert_many`` is the one greedy walk over a pool of
+    values: additive generators, star products, ideal closures and ideal
+    tests all grow their spans through it. The members are kept in the
+    order they were added, so ``members[k:]`` is what came after the span
+    held k elements.
     """
 
     def __init__(self, B: FiniteBrace):
         self.B = B
+        self._add = _addition(B)
         self.mask = np.zeros(B.order, dtype=bool)
         self.mask[B.zero()] = True
         self._chunks = [np.array([B.zero()], dtype=np.int64)]
@@ -1183,7 +1277,7 @@ class _AdditiveSpan:
         # H with x appended: one add gives the coset H + rep and, last, the next rep + x
         base = np.append(self.members, x)
         while not self.mask[rep]:
-            images = self.B.add(base, rep)
+            images = self._add(base, rep)
             coset = images[:-1]
             self.mask[coset] = True
             self._chunks.append(coset)

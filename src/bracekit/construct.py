@@ -238,7 +238,8 @@ class FamilyReport:
 def validate_spec(spec: FamilySpec) -> FamilyReport:
     """Check every condition the construction needs and predict simplicity.
 
-    Conditions: at least two blocks with pairwise distinct primes; each gram
+    Conditions: at least two blocks with pairwise distinct primes below 2^62
+    (the bound of exact int64 arithmetic, reported as a failure); each gram
     symmetric and non-singular; each f orthogonal for its gram with order
     exactly the preceding block's prime; and, in the cycle shape, a slot
     count m_z of at least max(r_z, r_{z-1}).
@@ -257,6 +258,11 @@ def validate_spec(spec: FamilySpec) -> FamilyReport:
         info = {"p": b.p, "dim": b.dim, "r": b.r, "slots": None, "map_order": None,
                 "minus_id_bijective": None}
         block_infos.append(info)
+        if b.p >= 2**62:  # ResidueMatrix would raise, and is_prime from 3.2e23 on
+            failures.append(
+                f"{path}.p: {b.p} is not below 2^62, the bound for exact int64 arithmetic"
+            )
+            continue
         if not is_prime(b.p):
             failures.append(f"{path}.p: {b.p} is not prime")
             continue
@@ -272,7 +278,7 @@ def validate_spec(spec: FamilySpec) -> FamilyReport:
             failures.append(f"{path}.f: does not preserve the form")
             continue
         prev_p = spec.blocks[(z - 1) % n].p
-        if not is_prime(prev_p):  # reported at its own block; no order to compare with
+        if prev_p >= 2**62 or not is_prime(prev_p):  # reported at its own block
             continue
         if f == ResidueMatrix.identity(b.dim, b.p):
             info["map_order"] = 1

@@ -46,18 +46,34 @@ __all__ = [
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# the least composite that is a strong pseudoprime to every base above
-_PRIME_BOUND = 318665857834031151167461
+# (psi_k, k): psi_k is the least composite that is a strong pseudoprime to the
+# first k bases above (Jaeschke, Math. Comp. 61, 1993; Jiang and Deng, Math.
+# Comp. 83, 2014; Sorenson and Webster, Math. Comp. 86, 2017), so those k
+# bases decide every n below it
+_BASE_COUNTS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+)
+_PRIME_BOUND = _BASE_COUNTS[-1][0]
 
 
 def is_prime(n: int) -> bool:
     """Whether ``n`` is prime; exact for every n below 318665857834031151167461.
 
-    Miller-Rabin with the first 12 primes as bases: no composite below that
-    bound is a strong pseudoprime to all of them (Sorenson and Webster,
-    Math. Comp. 86, 2017), far above the 2^62 elements a codec can index.
-    It costs at most a dozen modular powers, whatever n. Raises ValueError
-    for n at or above the bound, where the answer would not be exact.
+    Miller-Rabin with the fewest of the first 12 primes as bases that decide
+    n's range (``_BASE_COUNTS``): 2 and 3 below 1373653, all 12 only from
+    3825123056546413051 on. No composite below the bound is a strong
+    pseudoprime to all 12 (Sorenson and Webster, Math. Comp. 86, 2017), far
+    above the 2^62 elements a codec can index. It costs at most a dozen
+    modular powers, whatever n. Raises ValueError for n at or above the
+    bound, where the answer would not be exact.
     """
     if n >= _PRIME_BOUND:
         raise ValueError(f"{n} is beyond the exact range of the primality test")
@@ -71,7 +87,8 @@ def is_prime(n: int) -> bool:
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
+    count = next(k for bound, k in _BASE_COUNTS if n < bound)
+    for a in _PRIME_BASES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -107,7 +107,7 @@ def test_ac1_cf72_build_axioms_simple(cf72):
         assert result.simple
         assert result.closures_run == 71
     assert clock.elapsed < 10.0
-    _report("AC1", clock, "order 72, exhaustive axioms over 72^3 triples, simple with 71/71 full closures")
+    _report("AC1", clock, "order 72, exhaustive axioms through generator triples, simple with 71/71 full closures")
 
 
 def test_ac2_ns216_witness_and_certificate(ns216):

@@ -48,6 +48,7 @@ from bracekit.braces import (
     _ideal_maps,
     _orbit_labels,
     _subgroup_generators,
+    _word_generators,
 )
 from bracekit.construct import build_family, build_prime_example, load_spec, parse_spec
 from bracekit.errors import (
@@ -1171,6 +1172,66 @@ def test_axiom_reports_match_kernel_reference(case, request):
         assert not want.ok and want.counterexample is not None
 
 
+def _corrupted_tables(add_t, mul_t, rng):
+    """One seeded change to a copy of one of the two tables of a brace with identity 0.
+
+    Either one entry gets a new value, outside row and column 0 of the
+    addition table so that the table keeps its identity, or two entries of
+    a row swap, outside row and column 0 of either table. A swap keeps every
+    row a permutation, so the identity and inverse scans pass and the
+    generator-triple path decides.
+    """
+    tables = [add_t.copy(), mul_t.copy()]
+    which = int(rng.integers(2))
+    table, n = tables[which], len(add_t)
+    if rng.integers(2):
+        row = int(rng.integers(1, n))
+        c1, c2 = rng.choice(np.arange(1, n), size=2, replace=False)
+        table[row, [c1, c2]] = table[row, [c2, c1]]
+    else:
+        at = tuple(rng.integers(1 - which, n, size=2))
+        table[at] = (table[at] + rng.integers(1, n)) % n
+    return TableBrace(*tables)
+
+
+@pytest.mark.parametrize("case, changes", [("cf72", 120), ("mf72", 120), ("asym9", 130), ("sd6", 130)])
+def test_generator_triple_reports_match_all_triples_on_corrupted_tables(case, changes, request):
+    # 500 seeded changes in all; each full report equals the kernel reference over all n^3 triples
+    if case == "mf72":
+        B = build_family(load_spec(SPECS / "mf72.json"))
+    else:
+        B = request.getfixturevalue(case)
+    assert B.zero() == 0
+    add_t, mul_t = tabulate(B)
+    rng = np.random.default_rng(len(case) * 1000 + B.order)
+    verdicts = Counter()
+    for _ in range(changes):
+        T = _corrupted_tables(add_t, mul_t, rng)
+        want = _axioms_through_kernels(T, "exhaustive")
+        assert check_axioms(T, mode="exhaustive") == want
+        verdicts[want.ok] += 1
+    assert verdicts[False] > changes // 2
+
+
+def test_compatibility_waits_for_an_abelian_addition(sd6):
+    # two swaps in rows of sd6's addition table: every row stays a permutation,
+    # so the scans pass, but + is no longer commutative. Every element is a
+    # sum 5 + 5 + ... + 5, and compatibility holds on every (a, b, 5) and
+    # fails elsewhere: only an abelian group makes those triples enough.
+    add_t, mul_t = tabulate(sd6)
+    add_t[1, [1, 2]] = add_t[1, [2, 1]]
+    add_t[5, [3, 4]] = add_t[5, [4, 3]]
+    T = TableBrace(add_t, mul_t)
+    assert _word_generators(add_t).tolist() == [5]
+    compatible = _table_laws(T)[1]["compatibility"]
+    every = np.arange(6)
+    assert compatible(every[:, None], every[None, :], 5).all()
+    assert not compatible(every[:, None, None], every[None, :, None], every[None, None, :]).all()
+    report = check_axioms(T, mode="exhaustive")
+    assert report == _axioms_through_kernels(T, "exhaustive")
+    assert not report.checks["additive_commutativity"] and not report.checks["compatibility"]
+
+
 def test_axiom_tables_built_only_when_no_larger_than_the_triples(cf72, monkeypatch):
     built = []
     real = bracekit.braces.tabulate
@@ -1806,8 +1867,8 @@ def test_insert_matches_the_closure_by_pairwise_sums(case, request):
                 assert np.array_equal(np.flatnonzero(span.mask), want)
 
 
-def test_insert_makes_one_add_call_per_coset(cf72):
-    B = build_family(load_spec(SPECS / "cf72.json"))  # a fresh brace whose _add can be counted
+def _counted_add(B):
+    """Record the operand length of each call that reaches B's addition kernel."""
     calls = []
     kernel = B._add
 
@@ -1816,42 +1877,101 @@ def test_insert_makes_one_add_call_per_coset(cf72):
         return kernel(x, y)
 
     B._add = counted
+    return calls
+
+
+def test_insert_makes_one_add_call_per_coset(ns216):
+    # 216^2 > _BLOCK: the span adds through the kernel, one call per coset
+    assert ns216.order**2 > _BLOCK
+    B = build_family(load_spec(SPECS / "ns216.json"))  # a fresh brace whose _add can be counted
+    calls = _counted_add(B)
     span = _AdditiveSpan(B)
-    # the pinned additive generators of cf72, with 1 again once the span holds
-    # it; 8 goes in at index 72 / 8 = 9 and 16 at the prime index 72 / 24 = 3
+    assert calls == [] and B._add_table is None
+    # the pinned additive generators of ns216, with 1 again once the span holds
+    # it; 16 goes in at index 216 / 24 = 9 and 24 at the prime index 216 / 72 = 3
     indexes = []
-    for x in (1, 2, 3, 1, 8, 16):
+    for x in (1, 2, 3, 1, 8, 16, 24):
         before, calls[:] = span.size, []
         new = not span.mask[x]
         span.insert(x)
         if new:
-            indexes.append(cf72.order // before)
-        if new and is_prime(cf72.order // before):
+            indexes.append(B.order // before)
+        if new and is_prime(B.order // before):
             # H + <x> is a subgroup properly containing H, so it is the carrier
-            assert calls == [] and span.size == cf72.order
+            assert calls == [] and span.size == B.order
         else:
             cosets = span.size // before - 1  # each step of the tower adds one coset of H
             assert calls == [before + 1] * cosets  # H with x appended, in one call per coset
         assert np.array_equal(np.sort(span.members), np.flatnonzero(span.mask))
+    assert indexes == [216, 108, 54, 27, 9, 3]
+    assert span.size == B.order and np.array_equal(np.sort(span.members), B.elements())
+
+
+def test_insert_gathers_from_one_addition_table(cf72):
+    # 72^2 <= _BLOCK: one n^2-element add call makes the table, then no coset step calls the kernel
+    assert cf72.order**2 <= _BLOCK
+    B = build_family(load_spec(SPECS / "cf72.json"))  # a fresh brace whose _add can be counted
+    calls = _counted_add(B)
+    span = _AdditiveSpan(B)
+    assert calls == [B.order**2]
+    assert np.array_equal(B._add_table, tabulate(cf72)[0])
+    # the pinned additive generators of cf72 and their indexes, as in the kernel twin above
+    indexes = []
+    for x in (1, 2, 3, 1, 8, 16):
+        before, calls[:] = span.size, []
+        if not span.mask[x]:
+            indexes.append(B.order // before)
+        span.insert(x)
+        assert calls == []
+        assert np.array_equal(np.sort(span.members), np.flatnonzero(span.mask))
     assert indexes == [72, 36, 18, 9, 3]
-    assert span.size == cf72.order and np.array_equal(np.sort(span.members), cf72.elements())
+    assert span.size == B.order and np.array_equal(np.sort(span.members), B.elements())
+    # the table is kept on the brace: a second span makes no add call either
+    assert _AdditiveSpan(B).insert_many(B.elements()) == [1, 2, 3, 8, 16]
+    assert calls == []
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > 2 passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+# psi_k, the least composite that is a strong pseudoprime to the first k prime
+# bases, for each k at which is_prime starts to use more bases
+_STRONG_PSEUDOPRIMES = {
+    2047: 1,
+    1373653: 2,
+    25326001: 3,
+    3215031751: 4,
+    2152302898747: 5,
+    3474749660383: 6,
+    341550071728321: 8,
+    3825123056546413051: 11,
+}
 
 
 def test_is_prime_matches_a_sieve_and_rejects_strong_pseudoprimes():
     # the prime-index span rule decides with the one primality test of modular
     assert bracekit.braces.is_prime is is_prime
-    # Eratosthenes: the numbers below 200000 that no smaller prime divides
-    sieve = np.ones(200_000, dtype=bool)
+    # Eratosthenes: the numbers below 10^6 that no smaller prime divides
+    sieve = np.ones(10**6, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(sieve.size) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
     assert [n for n in range(sieve.size) if is_prime(n)] == np.flatnonzero(sieve).tolist()
     assert is_prime(2**61 - 1) and is_prime(2**62 - 57) and is_prime(10**18 + 9)
-    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5, 7 and
-    # 3825123056546413051 to every prime base up to 31
-    for n in (2**40, 3215031751, 3825123056546413051):
+    # each psi_k passes the first k bases, which decide every n below it, so
+    # is_prime must take more bases from psi_k on
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for n, k in _STRONG_PSEUDOPRIMES.items():
+        assert all(_strong_probable_prime(n, a) for a in bases[:k]), n
         assert not is_prime(n), n
+    assert not is_prime(2**40)
 
 
 def _is_ideal_by_definition(B, members, two_sided):

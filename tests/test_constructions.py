@@ -438,7 +438,7 @@ def test_validate_spec_matrix_block_with_slot_count():
     assert str(caught.value) == MIXED_BLOCKS
 
 
-@pytest.mark.parametrize("p", [10**12 + 39, 10**18 + 9])
+@pytest.mark.parametrize("p", [10**12 + 39, 10**18 + 9, 2**62 - 57])
 def test_validate_spec_over_a_large_prime(p):
     # f = -1 preserves [[1]] and has order 2, the preceding prime, although
     # (p - 1)^2 overflows int64; no map over Z/2 has order p
@@ -453,6 +453,24 @@ def test_validate_spec_over_a_large_prime(p):
     assert time.perf_counter() - start < 1.0
     assert report.blocks[0]["map_order"] == 2 and report.blocks[0]["minus_id_bijective"]
     assert report.failures == [f"blocks[1].f: order 1, expected the preceding prime {p}"]
+
+
+@pytest.mark.parametrize("p", [2**62, 2**63 - 25, 10**24])
+def test_validate_spec_lists_moduli_from_2_62(p):
+    # 2^63 - 25 is prime, 2^62 is the bound itself and 10^24 is beyond is_prime's exact range;
+    # each is a listed failure, and the next block compares no map order with it
+    spec = FamilySpec(
+        blocks=(
+            BlockData(p=p, gram=((1,),), f=((1,),), r=1, m=1),
+            BlockData(p=3, gram=((1,),), f=((2,),), r=1, m=1),
+        )
+    )
+    report = validate_spec(spec)
+    assert not report.ok and report.order == 0
+    assert report.failures == [
+        f"blocks[0].p: {p} is not below 2^62, the bound for exact int64 arithmetic"
+    ]
+    assert [info["map_order"] for info in report.blocks] == [None, None]
 
 
 def test_validate_spec_order_messages():

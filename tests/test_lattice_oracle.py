@@ -18,10 +18,12 @@ It is compared with ``list_ideals``, ``is_simple`` and
 ``is_prime_brace(B, list_ideals(B))`` on the 10 cases of ``_LATTICE_CASES``
 in ``test_braces.py``, on 8 seeded asymmetric and semidirect products of
 orders 8 to 64 (``_SEEDED_CASES``), and on one seeded relabelling of each,
-36 cases in all (a one-element brace is its own relabelling). Two of the
-seeded braces have a minimal ideal I with I*I = {0} and no other product of
-nonzero ideals equal to {0}, so a primeness check that skipped the pairs
-(I, I) would call them prime. Its 37 tests take about 7 s on a 2-core host
+36 cases in all (a one-element brace is its own relabelling). The ns216
+cases lie above the bound order^2 <= 2^15 under which additive spans gather
+from a cached addition table, and every other case below it, so both ways of
+adding are checked. Two of the seeded braces have a minimal ideal I with
+I*I = {0} and no other product of nonzero ideals equal to {0}, so a
+primeness check that skipped the pairs (I, I) would call them prime. Its 37 tests take about 7 s on a 2-core host
 (Python 3.11, numpy 2.4), ns216 most of it; each test fails once 10 s have
 passed since the first.
 
@@ -38,6 +40,7 @@ import pytest
 
 import bracekit.braces
 from bracekit.braces import (
+    _BLOCK,
     AsymmetricProductBrace,
     SemidirectProductBrace,
     TrivialBrace,
@@ -192,6 +195,8 @@ def _compare(B, started):
 
     got = list_ideals(B)
     assert sorted((r.size, r.members.tolist()) for r in got) == lattice
+    # the spans added through the cached addition table exactly when it fits one kernel block
+    assert (B._add_table is not None) == (B.order**2 <= _BLOCK)
     verdict = is_simple(B)
     assert verdict.simple == simple
     if verdict.certificate is not None:
