@@ -26,14 +26,16 @@ under the maps of every element (the maps compose multiplicatively in the
 subscript and are bijections of any finite invariant subset), so the
 fixpoints computed here agree with exhaustive definitions. The argument
 needs only some generating set, so the maps are taken over a reduced one:
-the greedy picks from the multiplicative generators in reverse order (5
-instead of 14 at order 92160). The first ideal query finds the picks and
-tabulates both maps of each in one pass (``_ideal_maps``), and assigns the
-picks and the tables to the brace's ``_ideal_tables`` once, when complete,
-so several threads may make that query on one brace. From then on closures,
-ideal tests, orbit labels and the conjugates of ``groupinfo.derived_subgroup``
-are gathers. Nothing else builds them, so braces that are only built, checked
-or used through the kernels never pay for them.
+the picks of ``_greedy_walk``, the one greedy walk that finds every
+generating set here with its caller's product step, from the multiplicative
+generators in reverse order (5 instead of 14 at order 92160). The first ideal
+query finds the picks and tabulates both maps of each in one pass
+(``_ideal_maps``), and assigns the picks and the tables to the brace's
+``_ideal_tables`` once, when complete, so several threads may make that query
+on one brace. From then on closures, ideal tests, orbit labels and the
+conjugates of ``groupinfo.derived_subgroup`` are gathers. Nothing else builds
+them, so braces that are only built, checked or used through the kernels never
+pay for them.
 
 Star products use the identity (a.b)*c = a*lambda_b(c) + b*c: when the left
 factor is the multiplicative subgroup generated by S and the additive span
@@ -99,7 +101,7 @@ class FiniteBrace:
         # (generators, (2k, order) int32 tables of lambda_g and conjugation by g),
         # assigned once by the first ideal query
         self._ideal_tables: Optional[tuple[np.ndarray, np.ndarray]] = None
-        # the (order, order) addition table of a small carrier, assigned once by _addition
+        # the (order, order) addition table of a small carrier, assigned once by _kept_addition_table
         self._add_table: Optional[np.ndarray] = None
         # the last left factor star_span reduced: (member bytes, generators or None)
         self._left_gens: Optional[tuple[bytes, Optional[np.ndarray]]] = None
@@ -819,10 +821,9 @@ class SemidirectProductBrace(FiniteBrace):
         rows only, which then covers every row.
         """
         all_a = np.arange(self.A.order, dtype=np.int64)
-        # a row is a permutation of A's carrier exactly when it sorts to 0..|A|-1
-        bad = (np.sort(self.act, axis=1) != all_a).any(axis=1)
-        if bad.any():
-            raise ActionNotAutomorphismError(f"row {int(np.argmax(bad))} is not a permutation")
+        bad = _non_permutation_rows(self.act)
+        if bad.size:
+            raise ActionNotAutomorphismError(f"row {int(bad[0])} is not a permutation")
         if not np.array_equal(self.act[self.B.zero()], all_a):
             raise ActionNotAutomorphismError("identity of B must act trivially")
         b_gens = self.B.multiplicative_generators().tolist()
@@ -953,6 +954,11 @@ class TableBrace(FiniteBrace):
         return self._inv_arr[x]
 
 
+def _non_permutation_rows(table: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a 2-d table that do not sort to 0..width-1, ascending."""
+    return np.flatnonzero((np.sort(table, axis=1) != np.arange(table.shape[1])).any(axis=1))
+
+
 def tabulate(B: FiniteBrace) -> tuple[np.ndarray, np.ndarray]:
     """Full (add, mul) tables of a brace; rows index the left operand."""
     idx = B.elements()
@@ -1033,30 +1039,6 @@ def _check_triples(n: int, laws: dict, mode: str, trials: int, seed: int, third=
     return {name: name not in firsts for name in laws}, failure, covered
 
 
-def _word_generators(table: np.ndarray) -> np.ndarray:
-    """Greedy G whose nonempty left-normed words (..(g1 g2)..) gk reach every element of ``table``.
-
-    ``table[x, y]`` is the product x y of an operation on 0..n-1, not assumed
-    associative or invertible. The elements are taken in reverse order, as
-    in ``_ideal_maps`` (4 picks on cf72's addition table and 3 on its
-    multiplication table, against 6 each in index order), and each one
-    outside the words W of the earlier picks is picked. The words of the
-    picks then grow from W x and x by x -> x g over every pick g, by
-    gathers: W g is already in W for the earlier picks g.
-    """
-    covered = np.zeros(len(table), dtype=bool)
-    picks: list[int] = []
-    for x in range(len(table) - 1, -1, -1):
-        if not covered[x]:
-            picks.append(x)
-            fresh = np.append(table[covered, x], x)
-            fresh = fresh[~covered[fresh]]
-            covered[fresh] = True
-            gens = np.array(picks)
-            _close(covered, fresh, lambda f: table[f[:, None], gens])
-    return np.array(picks, dtype=np.int64)
-
-
 def check_axioms(
     B: FiniteBrace,
     mode: str = "auto",
@@ -1076,14 +1058,19 @@ def check_axioms(
     law in that order that fails anywhere, at its first failing triple.
 
     The identity and inverse scans run through the kernels. Commutativity and
-    the triple laws gather from the (add, mul) tables of ``tabulate`` when a
-    table is no larger than the check, n^2 <= the number of triples (n^3 in
-    exhaustive mode, ``trials`` when sampled), and otherwise run through the
-    kernels; both give the same report. The tables are not kept.
+    the triple laws gather from the (add, mul) tables when a table is no
+    larger than the check, n^2 <= the number of triples (n^3 in exhaustive
+    mode, ``trials`` when sampled), and otherwise run through the kernels;
+    both give the same report. When n^2 <= _BLOCK the addition table is the
+    one the brace keeps for its spans (``_kept_addition_table``), built there
+    if it is missing; the other tables are not kept.
 
     Exhaustive mode decides the triple laws over (a, b, g) with g in a set G
-    whose nonempty left-normed words (..(g1 g2)..) gk reach every element
-    (``_word_generators``), n^2 |G| triples in place of n^3:
+    whose nonempty left-normed words (..(g1 g2)..) gk reach every element,
+    n^2 |G| triples in place of n^3. G is the ``_greedy_walk`` over the
+    carrier in reverse order by table gathers, with no identity marked, since
+    the table need not have one (4 picks on cf72's addition table and 3 on
+    its multiplication table, against 6 each in index order):
 
     - Associativity on every (a, b, g) gives it on every (a, b, c) (Light's
       test): for c = c'g, (ab)c = ((ab)c')g = (a(bc'))g = a((bc')g) = a(bc),
@@ -1146,7 +1133,10 @@ def check_axioms(
             failures.append((name, (int(bad[0]),)))
 
     if n * n <= (n**3 if mode == "exhaustive" else trials):
-        add_t, mul_t = tabulate(B)
+        add_t = _kept_addition_table(B)
+        if add_t is None:
+            add_t = B.add(every[:, None], every[None, :])
+        mul_t = B.mul(every[:, None], every[None, :])
 
         def add(x, y):
             return add_t[x, y]
@@ -1171,7 +1161,7 @@ def check_axioms(
             (("multiplicative_associativity",), mul_t),
         ):
             walked = {name: laws[name] for name in names}
-            gens = _word_generators(table)
+            gens = _greedy_walk(n, every[::-1], lambda f, picks: table[f[:, None], picks], None)[0]
             verdicts.update(_check_triples(n, walked, mode, trials, seed, gens)[0])
         group = (
             checks["additive_identity"]
@@ -1205,23 +1195,22 @@ def check_axioms(
     return report
 
 
-def _addition(B: FiniteBrace):
-    """B's addition for ``_AdditiveSpan``: gathers from a cached table on small carriers.
+def _kept_addition_table(B: FiniteBrace) -> Optional[np.ndarray]:
+    """The (order, order) addition table of a small carrier, kept on the brace; None on others.
 
-    When the (order, order) table fits in one kernel block (order^2 <=
-    _BLOCK, so order <= 181), one ``add`` call builds it, at most 256 KiB,
-    and it is assigned to the brace once, complete, so threads may share
-    it; each coset step is then a gather. Every other carrier adds through
-    the kernel: its table would cost more set-up and memory than its few
-    coset steps save.
+    When the table fits in one kernel block (order^2 <= _BLOCK, so order <=
+    181), one ``add`` call builds it, at most 256 KiB, and it is assigned to
+    the brace once, complete, so threads may share it. ``check_axioms`` and
+    every ``_AdditiveSpan`` of the brace gather from it. Every other carrier
+    adds through the kernel: its table would cost more set-up and memory
+    than a span's few coset steps save.
     """
     if B.order * B.order > _BLOCK:
-        return B.add
-    table = B._add_table
-    if table is None:
+        return None
+    if B._add_table is None:
         every = B.elements()
-        table = B._add_table = B.add(every[:, None], every[None, :])
-    return lambda x, y: table[x, y]
+        B._add_table = B.add(every[:, None], every[None, :])
+    return B._add_table
 
 
 class _AdditiveSpan:
@@ -1230,21 +1219,22 @@ class _AdditiveSpan:
     ``insert`` adds a whole cyclic tower of cosets at once: for a new element
     x it walks x, 2x, 3x, ... and unions the coset H + kx for each step that
     lands outside the current subgroup H, which keeps the number of insert
-    calls logarithmic in the subgroup size. Each step is one addition from
-    ``_addition``, a kernel call or, on a carrier of order at most 181, a
-    gather from its addition table: H with x appended, plus kx, gives the
-    coset and the next step's kx + x together. When the index [B:H] is
-    prime, H + <x> is the whole carrier and no coset is computed
-    (``insert``). ``insert_many`` is the one greedy walk over a pool of
-    values: additive generators, star products, ideal closures and ideal
-    tests all grow their spans through it. The members are kept in the
+    calls logarithmic in the subgroup size. Each step is one addition, a
+    kernel call or, on a carrier of order at most 181, a gather from
+    ``_kept_addition_table``: H with x appended, plus kx, gives the coset
+    and the next step's kx + x together. When the index [B:H] is prime,
+    H + <x> is the whole carrier and no coset is computed (``insert``).
+    ``insert_many`` is how every span takes a pool of values: additive
+    generators, star products, ideal closures and ideal tests all grow
+    their spans through it. The members are kept in the
     order they were added, so ``members[k:]`` is what came after the span
     held k elements.
     """
 
     def __init__(self, B: FiniteBrace):
         self.B = B
-        self._add = _addition(B)
+        table = _kept_addition_table(B)
+        self._add = B.add if table is None else lambda x, y: table[x, y]
         self.mask = np.zeros(B.order, dtype=bool)
         self.mask[B.zero()] = True
         self._chunks = [np.array([B.zero()], dtype=np.int64)]
@@ -1312,8 +1302,10 @@ class IdealRecord:
 
     @classmethod
     def from_members(cls, B: FiniteBrace, members, two_sided: bool = True) -> "IdealRecord":
-        """Record of a member set (or record) taken as given; verifies nothing."""
-        members, _ = _carrier_members(B, members)
+        """Record of a member set (or record) taken as given; members outside the carrier raise ValueError."""
+        members, inside = _carrier_members(B, members)
+        if not inside:
+            raise ValueError(f"members outside the carrier of order {B.order}")
         mask = np.zeros(B.order, dtype=bool)
         mask[members] = True
         return cls(
@@ -1380,30 +1372,28 @@ def _ideal_maps(B: FiniteBrace, two_sided: bool) -> np.ndarray:
     ``table[x]``): lambda_g, then x -> g x g^-1 when ``two_sided``, for each
     greedy pick g from ``multiplicative_generators()`` in reverse order (5 of
     14 at order 92160); any generating set suffices, by the module docstring.
-    A pick's row L_g = g x is one kernel call, the picks' subgroup is closed
-    under the kept rows by gathers, and lambda_g = L_g - g, g x g^-1 = L_g g^-1.
+    The picks come from ``_greedy_walk`` over left products g x, gathered
+    from the picks' rows L_g, each built by one kernel call when its g is
+    picked; left translates of distinct elements are distinct. Then
+    lambda_g = L_g - g and g x g^-1 = L_g g^-1.
     The cache is assigned once, complete, so threads may share a brace.
     """
     built = B._ideal_tables
     if built is None:
         every = B.elements()
-        covered = np.zeros(B.order, dtype=bool)
-        covered[B.zero()] = True
-        gens: list[int] = []
-        lefts: list[np.ndarray] = []
-        for g in B.multiplicative_generators()[::-1].tolist():
-            if not covered[g]:
-                gens.append(g)
-                lefts.append(B.mul(g, every).astype(np.int32))
-                # left translates of distinct elements are distinct
-                fresh = lefts[-1][covered]
-                fresh = fresh[~covered[fresh]]
-                covered[fresh] = True
-                _close(covered, fresh, lambda f: np.concatenate([left[f] for left in lefts]))
+        lefts: dict[int, np.ndarray] = {}
+
+        def step(f, picks):
+            for g in picks.tolist():
+                if g not in lefts:
+                    lefts[g] = B.mul(g, every).astype(np.int32)
+            return np.concatenate([lefts[g][f] for g in picks.tolist()])
+
+        gens = _greedy_walk(B.order, B.multiplicative_generators()[::-1], step, B.zero())[0]
         tables = np.empty((2 * len(gens), B.order), dtype=np.int32)
-        for i, (g, gi, left) in enumerate(zip(gens, B.inv(gens).tolist(), lefts)):
-            tables[2 * i] = B.sub(left, g)
-            tables[2 * i + 1] = B.mul(left, gi)
+        for i, (g, gi) in enumerate(zip(gens, B.inv(gens).tolist())):
+            tables[2 * i] = B.sub(lefts[g], g)
+            tables[2 * i + 1] = B.mul(lefts[g], gi)
         built = B._ideal_tables = (np.array(gens, dtype=np.int64), tables)
     return built[1] if two_sided else built[1][::2]
 
@@ -1552,29 +1542,43 @@ def multiplicative_closure(B: FiniteBrace, gens) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
+def _greedy_walk(n: int, pool: np.ndarray, step, identity: Optional[int], inside=None) -> Optional[tuple]:
+    """Greedy picks from ``pool`` whose words reach the most of 0..n-1, and the mask they reach.
+
+    ``step(frontier, picks)`` returns the products x g (or g x throughout) of
+    the indices x in ``frontier`` with the picks g, in any shape. Each entry
+    of ``pool`` that the nonempty left-normed words (..(g1 g2)..) gk of the
+    earlier picks W do not reach is picked. Its words grow from W x and x
+    by x -> x g over every pick g: W g is already in W for the earlier picks.
+    ``identity``, when given, is marked before the first pick, and x = e x is
+    then among W x. Given a boolean mask ``inside``, returns None as soon as
+    the mask leaves it.
+    """
+    covered = np.zeros(n, dtype=bool)
+    if identity is not None:
+        covered[identity] = True
+    picks: list[int] = []
+    for x in pool.tolist():
+        if not covered[x]:
+            picks.append(x)
+            fresh = step(np.flatnonzero(covered), np.array([x]))
+            if identity is None:
+                fresh = np.append(fresh, x)
+            fresh = fresh[~covered[fresh]]
+            covered[fresh] = True
+            gens = np.array(picks, dtype=np.int64)
+            _close(covered, fresh, lambda f: step(f, gens))
+            if inside is not None and not inside[covered].all():
+                return None
+    return picks, covered
+
+
 def _greedy_generators(B: FiniteBrace, pool: np.ndarray, inside=None) -> Optional[tuple]:
     """Greedy generating set of the multiplicative subgroup spanned by ``pool``, and its mask.
 
-    Each entry of ``pool`` outside the closure H of the earlier picks is
-    picked. The closure grows from H: <H, x> is H times the words in the
-    picks, and the only new elements that H itself reaches are those of Hx.
-    Given a boolean mask ``inside``, returns None as soon as a closure leaves it.
+    ``_greedy_walk`` over right products through the kernel, from the identity.
     """
-    gens: list[int] = []
-    covered = np.zeros(B.order, dtype=bool)
-    covered[B.zero()] = True
-    for x in pool.tolist():
-        if not covered[x]:
-            gens.append(int(x))
-            # right translates of distinct elements are distinct
-            fresh = B.mul(np.flatnonzero(covered), x)
-            fresh = fresh[~covered[fresh]]
-            covered[fresh] = True
-            picks = np.array(gens, dtype=np.int64)
-            _close(covered, fresh, lambda f: B.mul(f[:, None], picks))
-            if inside is not None and not inside[covered].all():
-                return None
-    return gens, covered
+    return _greedy_walk(B.order, pool, lambda f, picks: B.mul(f[:, None], picks), B.zero(), inside)
 
 
 def _subgroup_generators(B: FiniteBrace, members: np.ndarray) -> Optional[np.ndarray]:

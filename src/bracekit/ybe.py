@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .braces import EXHAUSTIVE_CAP, FiniteBrace, _check_triples
+from .braces import EXHAUSTIVE_CAP, FiniteBrace, _check_triples, _non_permutation_rows
 from .errors import AxiomsNotVerifiedError, SolutionFormatError
 
 __all__ = [
@@ -116,11 +116,6 @@ class SolutionReport:
         }
 
 
-def _rows_are_permutations(table: np.ndarray) -> bool:
-    n = table.shape[0]
-    return bool(np.array_equal(np.sort(table, axis=1), np.tile(np.arange(n), (n, 1))))
-
-
 def check_solution(
     table: SolutionTable,
     trials: int = 1_000_000,
@@ -145,7 +140,7 @@ def check_solution(
     n = table.size
     counterexample = None
 
-    nondegenerate = _rows_are_permutations(sigma) and _rows_are_permutations(gamma.T)
+    nondegenerate = not (_non_permutation_rows(sigma).size or _non_permutation_rows(gamma.T).size)
 
     every = np.arange(n)
     x_back = sigma[sigma, gamma] == every[:, None]

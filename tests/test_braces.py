@@ -24,6 +24,7 @@ from bracekit.braces import (
     AsymmetricProductBrace,
     AxiomReport,
     BraceElement,
+    IdealRecord,
     SemidirectProductBrace,
     TableBrace,
     TrivialBrace,
@@ -48,7 +49,6 @@ from bracekit.braces import (
     _ideal_maps,
     _orbit_labels,
     _subgroup_generators,
-    _word_generators,
 )
 from bracekit.construct import build_family, build_prime_example, load_spec, parse_spec
 from bracekit.errors import (
@@ -1213,7 +1213,7 @@ def test_generator_triple_reports_match_all_triples_on_corrupted_tables(case, ch
     assert verdicts[False] > changes // 2
 
 
-def test_compatibility_waits_for_an_abelian_addition(sd6):
+def test_compatibility_waits_for_an_abelian_addition(sd6, monkeypatch):
     # two swaps in rows of sd6's addition table: every row stays a permutation,
     # so the scans pass, but + is no longer commutative. Every element is a
     # sum 5 + 5 + ... + 5, and compatibility holds on every (a, b, 5) and
@@ -1222,29 +1222,38 @@ def test_compatibility_waits_for_an_abelian_addition(sd6):
     add_t[1, [1, 2]] = add_t[1, [2, 1]]
     add_t[5, [3, 4]] = add_t[5, [4, 3]]
     T = TableBrace(add_t, mul_t)
-    assert _word_generators(add_t).tolist() == [5]
     compatible = _table_laws(T)[1]["compatibility"]
     every = np.arange(6)
     assert compatible(every[:, None], every[None, :], 5).all()
     assert not compatible(every[:, None, None], every[None, :, None], every[None, None, :]).all()
+    picks = _recorded_table_picks(monkeypatch)
     report = check_axioms(T, mode="exhaustive")
+    assert picks[0] == [5]  # the additive laws ran over (a, b, 5) first
     assert report == _axioms_through_kernels(T, "exhaustive")
     assert not report.checks["additive_commutativity"] and not report.checks["compatibility"]
 
 
-def test_axiom_tables_built_only_when_no_larger_than_the_triples(cf72, monkeypatch):
-    built = []
-    real = bracekit.braces.tabulate
-    monkeypatch.setattr(bracekit.braces, "tabulate", lambda B: built.append(B.order) or real(B))
-    assert check_axioms(cf72, mode="sampled", trials=100).ok  # 100 < 72^2
-    assert built == []
-    assert check_axioms(cf72, mode="sampled", trials=10_000).ok
-    assert built == [72]
+def test_axiom_tables_built_only_when_no_larger_than_the_triples():
+    B = build_family(load_spec(SPECS / "cf72.json"))  # a fresh brace whose kernels can be counted
+    built = []  # the kernel of each call that builds a 72 x 72 table
+    for name in ("_add", "_mul"):
+
+        def counted(x, y, kernel=getattr(B, name), name=name):
+            if x.size == B.order**2:
+                built.append(name)
+            return kernel(x, y)
+
+        setattr(B, name, counted)
+    assert check_axioms(B, mode="sampled", trials=100).ok  # 100 < 72^2
+    assert built == [] and B._add_table is None
+    assert check_axioms(B, mode="sampled", trials=10_000).ok
+    assert built == ["_add", "_mul"]
     with pytest.raises(ValueError):
-        check_axioms(cf72, mode="sampled", trials=0)
-    assert built == [72]
-    assert check_axioms(cf72, mode="exhaustive").ok
-    assert built == [72, 72]
+        check_axioms(B, mode="sampled", trials=0)
+    assert built == ["_add", "_mul"]
+    # the addition table is kept on the brace (72^2 <= _BLOCK); the multiplication table is not
+    assert check_axioms(B, mode="exhaustive").ok
+    assert built == ["_add", "_mul", "_mul"]
 
 
 def test_sampled_mode_reports_trials(asym9):
@@ -1572,6 +1581,48 @@ def test_prime_example_tables_cover_five_generators():
     assert _ideal_maps(B, two_sided=True) is tables and B._ideal_tables[0] is gens  # built once
 
 
+def _recorded_table_picks(monkeypatch) -> list:
+    """Record the generator set G of every triple walk over (a, b, g) from here on."""
+    picks = []
+    walk = bracekit.braces._check_triples
+
+    def recorded(n, laws, mode, trials, seed, third=None):
+        if third is not None:
+            picks.append(np.asarray(third).tolist())
+        return walk(n, laws, mode, trials, seed, third)
+
+    monkeypatch.setattr(bracekit.braces, "_check_triples", recorded)
+    return picks
+
+
+@pytest.mark.parametrize(
+    "spec, add_picks, mul_picks",
+    [
+        ("cf72", [71, 70, 68, 55], [71, 70, 67]),
+        ("mf72", [71, 70, 68, 55], [71, 70, 67]),
+        ("ns216", [215, 214, 212, 207, 199], [215, 214, 211, 191]),
+    ],
+)
+def test_axiom_tables_pick_word_generators_in_reverse(spec, add_picks, mul_picks, monkeypatch):
+    picks = _recorded_table_picks(monkeypatch)
+    assert check_axioms(build_family(load_spec(SPECS / f"{spec}.json")), mode="exhaustive").ok
+    assert picks == [add_picks, mul_picks]
+
+
+def test_table_walk_marks_no_identity_first(monkeypatch):
+    # x y = f(y) with f = [1, 2, 2] has no identity and is not associative:
+    # (a b) 0 = 1 but a (b 0) = f(1) = 2. No word reaches 0, so 0 is picked and
+    # the triples (a, b, 0) find the failure; a walk that marked 0 first would
+    # check only (a, b, 1) and (a, b, 2), where the law holds.
+    add_t = (np.arange(3)[:, None] + np.arange(3)[None, :]) % 3
+    T = TableBrace(add_t, [[1, 2, 2]] * 3)
+    picks = _recorded_table_picks(monkeypatch)
+    report = check_axioms(T, mode="exhaustive")
+    assert picks == [[2], [2, 1, 0]]
+    assert not report.checks["multiplicative_associativity"]
+    assert report == _axioms_through_kernels(T, "exhaustive")
+
+
 def test_threads_making_the_first_ideal_query_on_a_brace_agree_with_one_thread(request):
     # the cache is assigned once, complete: no thread sees tables that another is still filling
     ref = _TABLE_CASES["ns216"](request)
@@ -1785,6 +1836,15 @@ def test_ideal_closure_rejects_seeds_outside_the_carrier(cf72):
     assert ideal_closure(TrivialBrace([6]), [3, 2]).seeds == (3, 2)
 
 
+def test_record_from_members_rejects_members_outside_the_carrier():
+    B = TrivialBrace([6])
+    for members in ([-1], [6], [0, 3, -3]):  # -1 would mark index 5, 6 would be numpy's IndexError
+        with pytest.raises(ValueError, match="carrier of order 6"):
+            IdealRecord.from_members(B, members)
+    rec = IdealRecord.from_members(B, [3, 0])
+    assert rec.members.tolist() == [0, 3] and rec.contains(3) and not rec.contains(5)
+
+
 def test_prime_check_rejects_lattice_entries_outside_the_carrier():
     B = TrivialBrace([6])
     with pytest.raises(IncompleteLatticeError, match="outside the carrier"):
@@ -1929,6 +1989,14 @@ def test_insert_gathers_from_one_addition_table(cf72):
     # the table is kept on the brace: a second span makes no add call either
     assert _AdditiveSpan(B).insert_many(B.elements()) == [1, 2, 3, 8, 16]
     assert calls == []
+
+
+def test_axioms_and_spans_share_one_addition_table():
+    B = build_family(load_spec(SPECS / "cf72.json"))  # a fresh brace whose _add can be counted
+    calls = _counted_add(B)
+    assert check_axioms(B).ok
+    assert _AdditiveSpan(B).insert_many(B.elements()) == [1, 2, 3, 8, 16]
+    assert calls.count(B.order**2) == 1
 
 
 def _strong_probable_prime(n, a):
