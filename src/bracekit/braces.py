@@ -14,7 +14,10 @@ and paired once, not once per batch element. The carriers built on a
 mixed-radix codec walk their operands in blocks of _BLOCK columns, through
 digit rows that each thread keeps and reuses (``_blockwise``): a kernel call
 allocates its result and nothing else of its operands' length, and several
-threads may call the kernels of one brace at once.
+threads may call the kernels of one brace at once. The rows have the
+smallest unsigned dtype that holds every value a kernel puts in them, from
+a bound each carrier states (uint8 for every shipped spec), and are reduced
+by compare and subtraction (``_reduce_rows``).
 
 Index 0 is always the shared identity for carriers built from formulas; table
 carriers detect their identity from the table so that deliberately corrupted
@@ -47,6 +50,7 @@ multiplies every element of the left factor.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Optional
@@ -230,31 +234,52 @@ class BraceElement:
 _BLOCK = 1 << 15  # columns per block of the digit-row kernels; the sweep is in CHANGES.md
 
 
+def _padded_width(nbytes: int) -> int:
+    """A table row of ``nbytes``, padded to a power of two up to 32 bytes: numpy's ``take`` copies those fastest."""
+    return 1 << (nbytes - 1).bit_length() if nbytes <= 32 else nbytes
+
+
 class _Scratch(threading.local):
     """Buffers that the digit-row kernels of one thread reuse from call to call.
 
-    ``rows(d, m)`` is three C-contiguous (d, m) int64 views of one flat
-    buffer, which grows when larger views are asked for; the kernels ask for
-    m <= _BLOCK. Fresh (d, n) arrays would cost a page fault per 4 KB on
-    every large call, because the allocator hands big freed blocks back to
-    the system. No value survives from one call to the next: every kernel
-    writes a row before it reads it. ``digits`` is 8 * _BLOCK more bytes,
-    where ``_MixedRadix.decode`` gathers the digits of one run.
+    ``rows(d, m, dtype)`` is three C-contiguous (d, m) views of one flat
+    buffer, and ``array(name, shape, dtype)`` is a view of the flat buffer
+    ``name``. Both buffers grow when larger views are asked for, and the
+    kernels ask for m <= _BLOCK. Fresh arrays would cost a page fault per
+    4 KB on every large call, because the allocator hands big freed blocks
+    back to the system. No value survives from one call to the next: every
+    kernel writes a buffer before it reads it. Three buffers of _BLOCK
+    columns are there from the thread's first use: ``digits`` (8 bytes per
+    column), where ``_MixedRadix.decode`` gathers the digits of one run;
+    ``ints`` (two int64 rows), its quotients and run values and then
+    ``AsymmetricProductBrace._alpha``'s keys; and ``sums`` (32 bits), where
+    ``_MixedRadix._weigh`` sums the digits of an index.
     """
 
     def __init__(self):
         self.digits = np.empty(8 * _BLOCK, dtype=np.uint8)
-        self._flat = np.empty(0, dtype=np.int64)
-        self._shape = None
+        self.ints = np.empty((2, _BLOCK), dtype=np.int64)
+        self.sums = np.empty(_BLOCK, dtype=np.uint32)
+        self._rows_key = None
         self._rows = ()
+        # name -> (flat buffer, (shape, dtype) of the view, view)
+        self._buffers: dict = {}
 
-    def rows(self, d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._shape != (d, m):
-            if self._flat.size < 3 * d * m:
-                self._flat = np.empty(3 * d * m, dtype=np.int64)
-            self._rows = tuple(self._flat[: 3 * d * m].reshape(3, d, m))
-            self._shape = (d, m)
+    def rows(self, d: int, m: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._rows_key != (d, m, dtype):
+            self._rows = tuple(self.array("rows", (3, d, m), dtype))
+            self._rows_key = (d, m, dtype)
         return self._rows
+
+    def array(self, name: str, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        flat, key, view = self._buffers.get(name, (None, None, None))
+        if key != (shape, dtype):
+            nbytes = math.prod(shape) * dtype.itemsize
+            if flat is None or flat.size < nbytes:
+                flat = np.empty(nbytes, dtype=np.uint8)
+            view = flat[:nbytes].view(dtype).reshape(shape)
+            self._buffers[name] = (flat, (shape, dtype), view)
+        return view
 
 
 _scratch = _Scratch()
@@ -265,10 +290,9 @@ class _Run:
     """Consecutive digits of a codec, by weight, whose moduli multiply to ``product``.
 
     ``table`` row v holds the run's digits of v, in the smallest unsigned
-    dtype, one column per coordinate in ascending coordinate order. A row
-    of up to 32 bytes is padded to a power-of-two width, which numpy's
-    ``take`` copies fastest. ``columns`` pairs slices of those columns with
-    the slices of coordinate rows they fill: one pair when the run's
+    dtype, one column per coordinate in ascending coordinate order, in rows
+    padded by ``_padded_width``. ``columns`` pairs slices of those columns
+    with the slices of coordinate rows they fill: one pair when the run's
     coordinates are consecutive, whatever their weights. ``row`` is the
     run's first coordinate. A digit whose modulus exceeds _BLOCK is a run
     of its own with no table: its value is the digit.
@@ -284,9 +308,10 @@ class _MixedRadix:
     """Mixed-radix codec; the first-listed coordinate varies fastest.
 
     ``reordered`` lists the same coordinates in another order, with the
-    weights they had, so it encodes to the same indices. ``decode`` reads
-    the digits in runs of at most _BLOCK values (``_Run``), whose tables
-    the first call builds.
+    weights they had, so it encodes to the same indices. ``decode`` and
+    ``encode`` walk the columns _BLOCK at a time, so a call allocates only
+    its result; ``decode`` reads the digits in runs of at most _BLOCK values
+    (``_Run``), which its first call builds.
     """
 
     def __init__(self, moduli):
@@ -301,6 +326,10 @@ class _MixedRadix:
         self.weights = np.concatenate(([1], np.cumprod(self.moduli)[:-1]))
         self.size = exact
         self._runs: Optional[list[_Run]] = None
+        # the weights in the dtype that _weigh sums indices in: the smallest
+        # unsigned one that holds them, int64 from 2^32 on
+        dtype = np.min_scalar_type(exact - 1)
+        self._sum_weights = self.weights.astype(np.int64 if dtype.itemsize == 8 else dtype)
 
     def _digit_runs(self) -> list[_Run]:
         """The digits, lightest first, split into runs whose moduli multiply to at most _BLOCK.
@@ -324,10 +353,7 @@ class _MixedRadix:
                 runs.append(_Run(product, coords[0]))
                 continue
             dtype = np.min_scalar_type(max(m for _, m in group) - 1)
-            width = len(group) * dtype.itemsize
-            if width <= 32:
-                width = 1 << (width - 1).bit_length()
-            table = np.zeros((product, width // dtype.itemsize), dtype=dtype)
+            table = np.zeros((product, _padded_width(len(group) * dtype.itemsize) // dtype.itemsize), dtype=dtype)
             values, weight = np.arange(product), 1
             for j, m in group:
                 table[:, coords.index(j)] = values // weight % m
@@ -347,17 +373,15 @@ class _MixedRadix:
 
         The digits are read in runs (``_digit_runs``), lightest first: one
         floor division per run boundary splits off the value of the runs
-        below it, a run's value picks its digits from the run's table with
-        one ``take`` into this thread's ``_scratch.digits``, and one cast
-        writes them into their int64 rows. Between runs the quotient waits
-        in the heaviest run's first row, which is written last. A codec of
-        at most _BLOCK elements is one run and needs no division. The
-        result (and ``out``) is the transpose of a (d, n) array, so ``.T``
-        gives back one row per coordinate. Indices outside 0..size-1 raise
-        IndexError.
-
-        The columns are walked _BLOCK at a time, so a call allocates only its
-        result.
+        below it, and a run's value picks its digits from the run's table
+        with one ``take`` into this thread's ``_scratch.digits``, which are
+        then written into their rows. The quotients and run values wait in
+        ``_scratch.ints``, so the rows may have any integer dtype that holds
+        the digits: int64 without ``out``, the kernels' small unsigned rows
+        with it. A codec of at most _BLOCK elements is one run and needs no
+        division. The result (and ``out``) is the transpose of a (d, n)
+        array, so ``.T`` gives back one row per coordinate. Indices outside
+        0..size-1 raise IndexError.
         """
         idx = np.asarray(idx, dtype=np.int64)
         rows = np.empty((self.moduli.size, idx.size), dtype=np.int64) if out is None else out.T
@@ -368,35 +392,60 @@ class _MixedRadix:
                 block, part = rows, idx
             else:
                 block, part = rows[:, lo : lo + _BLOCK], idx[lo : lo + _BLOCK]
-            rest, home = part, block[top.row]
-            for k, run in enumerate(lower):
-                low = block[run.row]
-                if k == 0:
-                    np.floor_divide(part, run.product, home)
-                    np.multiply(home, run.product, low)
-                    np.subtract(part, low, low)
+            rest = part
+            for run in lower:
+                if rest is part:
+                    quotient, value = _scratch.ints[:, : part.size]
+                    np.floor_divide(part, run.product, quotient)
+                    np.multiply(quotient, run.product, value)
+                    np.subtract(part, value, value)
                 else:  # three or more runs: the quotient stays in place
-                    np.divmod(home, run.product, out=(home, low))
-                rest = home
-                if run.table is not None:
-                    _gather_digits(run, low, block)
+                    np.divmod(quotient, run.product, out=(quotient, value))
+                rest = quotient
+                _put_digits(run, value, block)
             # the top run's value is below its product exactly when 0 <= idx <
             # size; read as unsigned, a negative value is above every product
             if rest.view(np.uint64).max() >= top.product:
                 bad = int(part[(rest < 0) | (rest >= top.product)][0])
                 raise IndexError(f"index {bad} outside carrier of order {self.size}")
-            if top.table is not None:
-                _gather_digits(top, rest, block)
-            elif rest is not home:
-                np.copyto(home, rest)
+            _put_digits(top, rest, block)
         return rows.T
 
     def encode(self, coords: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Indices of the (n, d) ``coords``, written into ``out`` when given.
 
-        ``coords`` is read by rows of its transpose, as ``decode`` returns it.
+        ``coords`` is read by rows of its transpose, as ``decode`` returns
+        it, in any integer dtype, _BLOCK columns at a time.
         """
-        return np.matmul(self.weights, coords.T, out)
+        rows = coords.T
+        n = rows.shape[1]
+        if out is None:
+            out = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, _BLOCK):
+            if n <= _BLOCK:
+                self._weigh(rows, out)
+            else:
+                self._weigh(rows[:, lo : lo + _BLOCK], out[lo : lo + _BLOCK])
+        return out
+
+    def _weigh(self, rows: np.ndarray, out: np.ndarray) -> None:
+        """Write the indices of the (d, m) digit ``rows``, m at most _BLOCK, into the int64 ``out``.
+
+        Every partial sum of an index is at most the index, so a carrier of
+        at most 2^32 elements sums digit rows of up to 32 bits in one
+        ``einsum`` with ``_sum_weights``, in the smallest unsigned dtype that
+        holds its indices (``_scratch.sums``), and casts the sums once. Rows
+        of 64 bits (``decode``'s own int64 rows) and larger carriers are
+        summed in int64; uint64 rows are read as int64, because numpy would
+        promote int64 with uint64 to float64.
+        """
+        weights = self._sum_weights
+        if rows.dtype.itemsize == 8 or weights.dtype.itemsize == 8:
+            np.einsum("j,jn->n", self.weights, rows.view(np.int64) if rows.dtype == np.uint64 else rows, out=out)
+        else:
+            sums = _scratch.sums.view(weights.dtype)[: out.size]
+            np.einsum("j,jn->n", weights, rows, out=sums, casting="unsafe")
+            out[...] = sums
 
     def reordered(self, order) -> "_MixedRadix":
         """The codec whose coordinate i is this codec's coordinate ``order[i]``."""
@@ -405,17 +454,21 @@ class _MixedRadix:
         out.weights = self.weights[order]
         out.size = self.size
         out._runs = None
+        out._sum_weights = self._sum_weights[order]
         return out
 
 
-def _gather_digits(run: _Run, values: np.ndarray, block: np.ndarray) -> None:
+def _put_digits(run: _Run, values: np.ndarray, block: np.ndarray) -> None:
     """Write the digits of the run ``values`` into their rows of ``block``.
 
     The digits are taken into this thread's ``_scratch.digits`` in as many
-    column slices as it needs, and each slice is cast into the int64 rows
-    before the next is taken, so ``values`` may be one of those rows.
+    column slices as it needs, and each slice is written into the rows
+    before the next is taken. A run without a table is its own digit.
     """
     table, buffer = run.table, _scratch.digits
+    if table is None:
+        np.copyto(block[run.row], values, casting="unsafe")
+        return
     step = buffer.size // table.strides[0]
     for lo in range(0, values.size, step):
         hi = min(lo + step, values.size)
@@ -437,100 +490,86 @@ def _one_hot_generators(self) -> np.ndarray:
     return self._mult_gens
 
 
-class _Residues:
-    """Row-wise reduction by one gather: row i of a (d, m) array modulo ``moduli[i]``.
+def _reduce_rows(rows: np.ndarray, moduli: np.ndarray, spare: np.ndarray) -> None:
+    """Reduce the unsigned ``rows``, each below twice its modulus, in place; ``spare`` is scratch.
 
-    Row i may hold values in [0, spans[i] * moduli[i]). Adding ``offsets[i]``
-    moves them into row i's segment of ``table``, whose entry v holds
-    v % moduli[i], so one ``take`` reduces every row. That is several times
-    faster than ``np.remainder`` by a column of moduli, which divides every
-    entry. The table holds sum(spans * moduli) entries, a few per element of
-    any carrier with these coordinates.
+    Where a row value is below its modulus, ``rows - moduli`` wraps round
+    above it, so the minimum of the two is the value mod its modulus. That is
+    one compare and one subtraction per entry, where ``np.remainder`` by a
+    column of moduli divides every entry.
     """
-
-    def __init__(self, moduli: np.ndarray, spans: np.ndarray):
-        sizes = (spans * moduli).tolist()
-        self.offsets = np.cumsum([0] + sizes[:-1])[:, None]
-        self.table = np.concatenate([np.arange(n) % m for n, m in zip(sizes, moduli.tolist())])
-        # -v for v in [0, m) is m - v in (0, m], shifted into its segment
-        self._negated = moduli[:, None] + self.offsets
-
-    def reduce(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write ``rows`` reduced into the C-contiguous ``out``; ``rows`` is overwritten."""
-        rows += self.offsets
-        return self._take(rows, out)
-
-    def negate(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write -``rows`` reduced into ``out``; ``rows`` must be reduced and is overwritten."""
-        return self._take(np.subtract(self._negated, rows, rows), out)
-
-    def _take(self, shifted: np.ndarray, out: np.ndarray) -> np.ndarray:
-        # every shifted value lies in its row's segment, so nothing is clipped
-        return self.table.take(shifted, out=out, mode="clip")
+    np.subtract(rows, moduli, spare)
+    np.minimum(rows, spare, out=rows)
 
 
-def _blockwise(codec: _MixedRadix, step, x: np.ndarray, y: Optional[np.ndarray] = None):
-    """Indices of ``step`` over the digit rows of ``x`` (and ``y``), _BLOCK columns at a time.
+def _blockwise(codec: _MixedRadix, dtype: np.dtype, step, x: np.ndarray, y: Optional[np.ndarray] = None):
+    """Indices of ``step`` over the ``dtype`` digit rows of ``x`` (and ``y``), _BLOCK columns at a time.
 
     Each block of an operand is decoded into this thread's scratch rows; a
     length-1 operand is decoded once into a (d, 1) column that broadcasts.
-    ``step(x_rows, y_rows, acc, out)`` writes the block's reduced (d, m)
-    result rows into ``out``, which is encoded into its slice of the result,
-    and may overwrite ``acc``, the rows of an operand that is walked
-    (``x_rows`` unless only ``y`` is). So the result is the only array of
-    the operands' length that a call allocates. A step must not call a
-    kernel itself: the nested call would reuse this thread's rows.
+    ``step(x_rows, y_rows, acc, spare)`` returns the block's reduced (d, m)
+    result rows, which are encoded into its slice of the result. It may
+    overwrite ``acc``, the rows of an operand that is walked (``x_rows``
+    unless only ``y`` is), and ``spare``, (d, m) rows of its own. So the
+    result is the only array of the operands' length that a call allocates.
+    A step must not call a kernel itself: the nested call would reuse this
+    thread's rows.
     """
     d = codec.moduli.size
     walk_x = y is None or x.size != 1 or y.size == 1
     walk_y = y is not None and y.size != 1
     n = x.size if walk_x else y.size
-    x_rows = None if walk_x else codec.decode(x).T
-    y_rows = None if y is None or walk_y else codec.decode(y).T
+    x_rows = None if walk_x else codec.decode(x, np.empty((d, 1), dtype=dtype).T).T
+    y_rows = None if y is None or walk_y else codec.decode(y, np.empty((d, 1), dtype=dtype).T).T
     result = np.empty(n, dtype=np.int64)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        x_block, y_block, out = _scratch.rows(d, hi - lo)
+        x_block, y_block, spare = _scratch.rows(d, hi - lo, dtype)
         if walk_x:
             codec.decode(x[lo:hi], x_block.T)
             x_rows = x_block
         if walk_y:
             codec.decode(y[lo:hi], y_block.T)
             y_rows = y_block
-        step(x_rows, y_rows, x_rows if walk_x else y_rows, out)
-        codec.encode(out.T, result[lo:hi])
+        codec.encode(step(x_rows, y_rows, x_rows if walk_x else y_rows, spare).T, result[lo:hi])
     return result
 
 
 def _rows_index(rows: np.ndarray):
-    """Sorted row numbers as a slice when they are contiguous, else as they are."""
-    if rows.size and rows[-1] - rows[0] + 1 == rows.size:
+    """Row numbers as a slice when they are consecutive and ascending, else as they are."""
+    if rows.size and np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
         return slice(int(rows[0]), int(rows[-1]) + 1)
     return rows
 
 
 class TrivialBrace(FiniteBrace):
-    """The brace whose multiplication is its addition, on a product of cyclics."""
+    """The brace whose multiplication is its addition, on a product of cyclics.
+
+    The kernels work on digit rows of ``_rows``, the smallest unsigned dtype
+    below 2 * max(moduli), which holds the sum of two coordinates.
+    """
 
     def __init__(self, moduli):
         self.codec = _MixedRadix(moduli)
         self.moduli = self.codec.moduli
-        # reduced by np.remainder, so construction allocates nothing per
-        # residue and any carrier the codec accepts works
-        self._moduli_column = self.moduli[:, None]
+        self._rows = np.min_scalar_type(2 * int(self.moduli.max()) - 1)
+        self._moduli_column = self.moduli[:, None].astype(self._rows)
         super().__init__(self.codec.size)
 
-    def _add_rows(self, x, y, _, out):
-        np.remainder(np.add(x, y, out), self._moduli_column, out)
+    def _add_rows(self, x, y, acc, spare):
+        _reduce_rows(np.add(x, y, acc), self._moduli_column, spare)
+        return acc
 
-    def _neg_rows(self, x, _, __, out):
-        np.remainder(np.negative(x, out), self._moduli_column, out)
+    def _neg_rows(self, x, _, __, spare):
+        # -x as coordinates in (0, m]
+        _reduce_rows(np.subtract(self._moduli_column, x, x), self._moduli_column, spare)
+        return x
 
     def _add(self, x, y):
-        return _blockwise(self.codec, self._add_rows, x, y)
+        return _blockwise(self.codec, self._rows, self._add_rows, x, y)
 
     def _neg(self, x):
-        return _blockwise(self.codec, self._neg_rows, x)
+        return _blockwise(self.codec, self._rows, self._neg_rows, x)
 
     _mul = _add
     _inv = _neg
@@ -560,24 +599,43 @@ class AsymmetricProductBrace(FiniteBrace):
 
     The kernels work on digit rows, _BLOCK = 2^15 columns at a time
     (``_blockwise``): each block of an operand is decoded into (d, m) rows
-    whose row i is logical coordinate i, the kernel writes its t rows and s
-    rows into one (d, m) output, and that output is encoded into the block's
-    slice of the result. The rows are scratch that each thread keeps for
-    its next call: 3 * d * 2^15 int64 entries, 7.5 MiB at order 750141
-    (d = 10). Every row sum stays below a small multiple of its modulus, so
-    it is reduced by one gather from a residue table (``_Residues``,
-    2 * sum(t_moduli) + 3 * sum(s_moduli) entries built at construction);
-    the pairing value of each component is reduced on its own first.
-    Component k of the pairing is zero outside the t rows of its block, so
-    it is contracted over those rows only, and against a length-1 operand as
-    one matrix-vector product.
+    whose row i is logical coordinate i, the kernel reduces its t rows and s
+    rows in place, and they are encoded into the block's slice of the
+    result. Three bounds pick the dtypes:
 
-    Each alpha_s is an automorphism of T, so all of them fit in one table of
-    dT rows by |S| * |T| = order columns, in the smallest unsigned dtype that
-    holds max(t_moduli) - 1 (uint8 for every shipped spec: 6 MB at order
-    750141). The kernels apply alpha as one gather of columns from it,
-    whatever the operand shapes. The first multiplication or inversion
-    builds the table; construction builds none.
+    - A row value stays below 3 * max(t_moduli + s_moduli): a t row is a sum
+      of two coordinates, an s row of two coordinates and one pairing value,
+      each below its modulus. The rows take the smallest unsigned dtype below
+      that bound (``_rows``): uint8 for every shipped spec, 64 bits when it
+      needs more than 32. Each sum is reduced in place by one or two passes
+      of ``_reduce_rows``, a compare and a subtraction per entry.
+    - Every partial sum of the pairing's forms is at most r^2 (q - 1)
+      (p - 1)^2, for the r rows of their support, the largest s modulus q
+      and the largest t modulus p. With q added, the forms are contracted
+      through BLAS in float32 below 2^24 and in float64 below 2^53, and in
+      int64 otherwise (``_contract``); each component is then reduced
+      before it joins its s row (``_pair_into``).
+    - Every partial sum of an index is at most the index, so ``encode``
+      sums the rows of a carrier of at most 2^32 elements in the smallest
+      unsigned dtype that holds its indices: uint32 at order 750141
+      (``_MixedRadix._weigh``).
+
+    The rows are scratch that each thread keeps for its next call: at order
+    750141 (d = 10), 3 * d * 2^15 bytes of uint8 rows (0.9 MiB), 3.5 MiB of
+    float32 pairing rows and 1.4 MiB of codec and alpha buffers, 5.9 MiB in
+    all, where int64 rows took 7.5 MiB. Component k of the pairing is zero
+    outside the t rows of its block, so it is contracted over those rows
+    only, and against a length-1 operand as one matrix-vector product.
+
+    Each alpha_s is an automorphism of T, so all of them fit in one
+    row-major table of order = |S| * |T| rows, one per (t, s), each holding
+    alpha_s(t) in dT entries of the smallest unsigned dtype that holds
+    max(t_moduli) - 1, padded by ``_padded_width`` (uint8 for every shipped
+    spec: 8 bytes a row, 6 MB at order 750141). The kernels apply alpha as
+    one gather of rows from it, a word per element when a row is at most 8
+    bytes, whatever the operand shapes. The first multiplication or
+    inversion builds the table and assigns it once it is complete;
+    construction builds none.
     """
 
     def __init__(
@@ -616,28 +674,38 @@ class AsymmetricProductBrace(FiniteBrace):
         self._logical = self.codec.reordered(self._inv_layout)
         self._dt = dt
         self.family_blocks = tuple(family_blocks) if family_blocks else None
-        # alpha_s(t) is column _t_weights @ t + _s_weights @ s of _alpha_table,
-        # the index of [t..., s...] in the unpermuted logical order; the first
+        # alpha_s(t) is row _alpha_keys.encode([t..., s...]) of _alpha_table,
+        # the index of (t, s) in the unpermuted logical order; the first
         # _alpha call fills the table
-        self._t_weights, self._s_weights = np.split(_MixedRadix(logical_moduli).weights, [dt])
+        self._alpha_keys = _MixedRadix(logical_moduli)
         self._alpha_table: Optional[np.ndarray] = None
         self._gen_powers = [self._power_table(self._gens[l], int(self._sm[l])) for l in range(ds)]
         self._validate()
-        # a t row is a sum of two coordinates; an s row is a sum of two
-        # coordinates and one pairing value, each below its modulus
-        self._residues = _Residues(logical_moduli, np.repeat([2, 3], [dt, ds]))
-        self._moduli_column = logical_moduli[:, None]
-        # component k of b is zero outside the t rows of its support: (k, rows,
-        # form on them) for each nonzero component, and (rows, pairing on them)
-        # for the union of the supports, which pairs a length-1 operand with
-        # every component in one product; rows are a slice when contiguous
-        self._forms = []
-        for k, form in enumerate(self._pairing):
-            rows = np.flatnonzero(form.any(axis=0))
-            if rows.size:
-                self._forms.append((k, _rows_index(rows), form[np.ix_(rows, rows)]))
-        rows = np.flatnonzero(self._pairing.any(axis=(0, 1)))
-        self._pair_support = (_rows_index(rows), self._pairing[:, rows[:, None], rows])
+        self._rows = np.min_scalar_type(3 * int(logical_moduli.max()) - 1)
+        self._moduli_column = logical_moduli[:, None].astype(self._rows)
+        # component k of b is zero outside the t rows of its support, so b is
+        # contracted over the union of the supports only: (rows, pairing on
+        # them) pairs a length-1 operand with every component in one
+        # product. For two batches, _forms stacks the rows of every
+        # component's form that are not zero, the support rows each stacked
+        # row pairs with, and the sum of the stacked rows into components.
+        # Rows are a slice when consecutive.
+        support = np.flatnonzero(self._pairing.any(axis=(0, 1)))
+        pairing = self._pairing[:, support[:, None], support]
+        self._pair_support = (_rows_index(support), pairing)
+        q = int(self._sm[pairing.any(axis=(1, 2))].max(initial=1))
+        p = int(self._tm[support].max(initial=1))
+        top = support.size**2 * (q - 1) * (p - 1) ** 2 + q
+        self._contract = np.dtype(np.float32 if top < 2**24 else np.float64 if top < 2**53 else np.int64)
+        stacked = [np.flatnonzero(form.any(axis=0)) for form in pairing]
+        self._forms = (
+            np.concatenate([form[rows] for form, rows in zip(pairing, stacked)]).astype(self._contract),
+            _rows_index(np.concatenate(stacked)),
+            np.repeat(np.eye(ds), [rows.size for rows in stacked], axis=1).astype(self._contract),
+        )
+        # the ends of the scratch rows of _pair_into: right, left, products, values, quotients
+        self._pair_rows = np.cumsum([support.size, support.size, self._forms[0].shape[0], ds, ds]).tolist()
+        self._pair_moduli = self._sm[:, None].astype(self._contract)
         super().__init__(self.codec.size)
 
     # matrices act on t-coordinates; row i of any such matrix lives mod t_moduli[i]
@@ -689,101 +757,145 @@ class AsymmetricProductBrace(FiniteBrace):
         """Indices of the (d, n) logical rows [t..., s...]."""
         return self._logical.encode(rows.T)
 
-    def _pair_into(self, s: np.ndarray, t1: np.ndarray, t2: np.ndarray, scratch: np.ndarray):
+    def _pair_into(self, s: np.ndarray, t1: np.ndarray, t2: np.ndarray, free: np.ndarray) -> None:
         """Add b(t1, t2) to the s rows ``s``, each component reduced below its modulus first.
 
-        ``scratch`` is (d, m) rows, m the longer operand length, that are
-        free until the call returns.
+        The t rows are copied into ``_contract`` rows of this thread's
+        scratch and contracted there, through BLAS for a float dtype. Each
+        value v is reduced as v - q * floor(v / q), all components at once:
+        v + q stays below 2^24 in float32 and below 2^53 in float64, so the
+        quotient rounds to its floor exactly. The reduced values are cast
+        into ``free``, rows of the rows' dtype shaped like ``s`` that are
+        free until the call returns, and added. ``t1`` may be ``t2``, and is
+        then copied once.
         """
+        rows, pairing = self._pair_support
+        if not pairing.size:
+            return
         # a single column is contracted with the pairing first; b is symmetric,
         # so that column may be moved to the left
         if t2.shape[1] == 1:
             t1, t2 = t2, t1
+        a, b, c, d, e = self._pair_rows
+        floats = _scratch.array("pairing", (e, t2.shape[1]), self._contract)
+        right, left, products, values, quotients = floats[:a], floats[a:b], floats[b:c], floats[c:d], floats[d:]
+        np.copyto(right, t2[rows])
         if t1.shape[1] == 1:
-            rows, pairing = self._pair_support
-            v = np.matmul(pairing @ t1[rows, 0], t2[rows], scratch[: self._sm.size])
-            v %= self._sm[:, None]
-            s += v
-            return
-        # a form covers at most dT < d rows, so the last row is free for the values
-        v = scratch[-1]
-        for k, rows, form in self._forms:
-            products = np.matmul(form, t1[rows], scratch[: form.shape[0]])
-            np.einsum("in,in->n", products, t2[rows], out=v)
-            v %= self._sm[k]
-            s[k] += v
+            np.matmul((pairing @ t1[rows, 0]).astype(self._contract), right, values)
+        else:
+            if t1 is t2:
+                left = right
+            else:
+                np.copyto(left, t1[rows])
+            forms, paired, sums = self._forms
+            np.matmul(forms, left, products)
+            np.multiply(products, right[paired], products)
+            np.matmul(sums, products, values)
+        moduli = self._pair_moduli
+        if self._contract.kind == "f":
+            np.floor(np.divide(values, moduli, quotients), quotients)
+        else:
+            np.floor_divide(values, moduli, quotients)
+        np.subtract(values, np.multiply(quotients, moduli, quotients), values)
+        np.copyto(free, values, casting="unsafe")
+        np.add(s, free, s)
 
     def _alpha(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Rows alpha_{s_i}(t_i) of the (dS, n) ``s`` and (dT, n) ``t``; n may be 1 on either side."""
-        if self._alpha_table is None:
-            self._alpha_table = self._tabulate_alpha()
-        key = self._t_weights @ t + self._s_weights @ s
-        return self._alpha_table.take(key, axis=1)
+        """Rows alpha_{s_i}(t_i) of the (dS, n) ``s`` and (dT, n) ``t``; n may be 1 on either side.
+
+        The rows are copied into the logical order [t..., s...], whose index
+        in the unpermuted logical codec ``_alpha_keys`` is the table row.
+        The (dT, n) result is a view of this thread's scratch, and n is at
+        most _BLOCK.
+        """
+        table = self._alpha_table
+        if table is None:
+            table = self._alpha_table = self._tabulate_alpha()
+        dt, n = self._dt, max(s.shape[1], t.shape[1])
+        rows = _scratch.array("alpha rows", (dt + s.shape[0], n), self._rows)
+        rows[:dt] = t
+        rows[dt:] = s
+        keys = _scratch.ints[0, :n]
+        self._alpha_keys._weigh(rows, keys)
+        images = _scratch.array("alpha", (n, table.shape[1]), table.dtype)
+        table.take(keys, axis=0, out=images, mode="clip")
+        return images.T[:dt]
 
     def _tabulate_alpha(self) -> np.ndarray:
-        """(dT, order) images alpha_s(t) in the logical order of (t, s), as small ints.
+        """(order, W) images alpha_s(t) in the logical order of (t, s), as small ints.
 
-        Every s owns the |T| columns from _s_weights @ s on, one per t. The s
-        go in blocks of about _BLOCK table entries: each block reads its
-        s-digits off its first columns, multiplies their generator powers as
-        one batch of matrices, and applies them to every t at once.
+        Row (t, s) holds alpha_s(t) in its first dT entries and zeros after
+        them, up to W entries of ``_padded_width`` bytes. Every s owns the
+        |T| rows from the weight of s on, one per t. The s go in blocks of
+        about _BLOCK table entries: each block reads its s-digits off its
+        first rows, multiplies their generator powers as one batch of
+        matrices, and applies them to every t at once.
         """
-        dt, size = self._dt, int(self._s_weights[0])  # |T|
+        t_weights, s_weights = np.split(self._alpha_keys.weights, [self._dt])
+        dt, size = self._dt, int(s_weights[0])  # |T|
         # reduced in place: a second (dT, |T|) array raised the peak RSS of
         # repeated builds at order 750141 by about 3 MiB
-        ts = np.arange(size) // self._t_weights[:, None]
+        ts = np.arange(size) // t_weights[:, None]
         ts %= self._tm[:, None]
         powers = [np.stack(p) for p in self._gen_powers]
-        table = np.empty((dt, self.order), dtype=np.min_scalar_type(int(self._tm.max()) - 1))
+        dtype = np.min_scalar_type(int(self._tm.max()) - 1)
+        table = np.zeros((self.order, _padded_width(dt * dtype.itemsize) // dtype.itemsize), dtype=dtype)
         step = max(1, _BLOCK // (size * dt)) * size
         for lo in range(0, self.order, step):
             starts = np.arange(lo, min(lo + step, self.order), size, dtype=np.int64)
             m = np.eye(dt, dtype=np.int64)
-            for l, (w, q) in enumerate(zip(self._s_weights.tolist(), self._sm.tolist())):
+            for l, (w, q) in enumerate(zip(s_weights.tolist(), self._sm.tolist())):
                 m = self._reduce(powers[l][starts // w % q] @ m)
             images = m @ ts % self._tm[:, None]
-            table[:, lo : lo + starts.size * size] = images.transpose(1, 0, 2).reshape(dt, -1)
+            table[lo : lo + starts.size * size, :dt] = images.transpose(0, 2, 1).reshape(-1, dt)
         return table
 
-    def _add_rows(self, x, y, acc, out):
-        dt = self._dt
-        # acc is x or y, so its s rows carry b(t1, t2) into the sum; out is
-        # free as scratch until it takes the reduced rows
-        self._pair_into(acc[dt:], x[:dt], y[:dt], out)
-        self._residues.reduce(np.add(x, y, acc), out)
+    def _add_rows(self, x, y, acc, spare):
+        dt, moduli = self._dt, self._moduli_column
+        # acc is x or y, so its s rows carry b(t1, t2) into the sum
+        self._pair_into(acc[dt:], x[:dt], y[:dt], spare[dt:])
+        _reduce_rows(np.add(x, y, acc), moduli, spare)
+        _reduce_rows(acc[dt:], moduli[dt:], spare[dt:])
+        return acc
 
-    def _neg_rows(self, x, _, __, out):
-        dt = self._dt
-        # -x as coordinates in (0, m]; b(-t, -t) = b(t, t)
-        np.subtract(self._moduli_column, x, x)
-        self._pair_into(x[dt:], x[:dt], x[:dt], out)
-        self._residues.reduce(x, out)
+    def _neg_rows(self, x, _, __, spare):
+        dt, moduli = self._dt, self._moduli_column
+        # -x as coordinates in (0, m]; the t rows are reduced before they are
+        # paired, and b(-t, -t) = b(t, t)
+        np.subtract(moduli, x, x)
+        t = x[:dt]
+        _reduce_rows(t, moduli[:dt], spare[:dt])
+        self._pair_into(x[dt:], t, t, spare[dt:])
+        _reduce_rows(x[dt:], moduli[dt:], spare[dt:])
+        return x
 
-    def _mul_rows(self, x, y, acc, out):
+    def _mul_rows(self, x, y, acc, spare):
         dt = self._dt
         # alpha reads s1 and t2 before acc, which is x or y, is written
         alpha = self._alpha(x[dt:], y[:dt])
         np.add(x[dt:], y[dt:], acc[dt:])
         np.add(x[:dt], alpha, acc[:dt])
-        self._residues.reduce(acc, out)
+        _reduce_rows(acc, self._moduli_column, spare)
+        return acc
 
-    def _inv_rows(self, x, _, __, out):
-        self._residues.negate(x, out)
-        t = out[: self._dt]
-        # the key of -x is taken before the gather overwrites its t rows
-        t[...] = self._alpha(out[self._dt :], t)
+    def _inv_rows(self, x, _, __, spare):
+        dt = self._dt
+        _reduce_rows(np.subtract(self._moduli_column, x, x), self._moduli_column, spare)
+        # the key of -x is taken before the images overwrite its t rows
+        np.copyto(x[:dt], self._alpha(x[dt:], x[:dt]))
+        return x
 
     def _add(self, x, y):
-        return _blockwise(self._logical, self._add_rows, x, y)
+        return _blockwise(self._logical, self._rows, self._add_rows, x, y)
 
     def _neg(self, x):
-        return _blockwise(self._logical, self._neg_rows, x)
+        return _blockwise(self._logical, self._rows, self._neg_rows, x)
 
     def _mul(self, x, y):
-        return _blockwise(self._logical, self._mul_rows, x, y)
+        return _blockwise(self._logical, self._rows, self._mul_rows, x, y)
 
     def _inv(self, x):
-        return _blockwise(self._logical, self._inv_rows, x)
+        return _blockwise(self._logical, self._rows, self._inv_rows, x)
 
     multiplicative_generators = _one_hot_generators
 

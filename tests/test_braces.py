@@ -325,15 +325,17 @@ def inner18432():
 
 def _alpha_reference(B, s, t):
     # alpha_s(t) = M(s) t mod t_moduli on (dS, n) s rows and (dT, n) t rows,
-    # M(s) the product of generator powers
+    # M(s) the product of generator powers, found once per distinct s
     n = max(s.shape[1], t.shape[1])
     s, t = np.broadcast_to(s, (s.shape[0], n)), np.broadcast_to(t, (t.shape[0], n))
     out = np.empty((t.shape[0], n), dtype=np.int64)
-    for i in range(n):
+    keys, which = np.unique(s, axis=1, return_inverse=True)
+    for j in range(keys.shape[1]):
         m = np.eye(t.shape[0], dtype=np.int64)
-        for l, e in enumerate(s[:, i].tolist()):
+        for l, e in enumerate(keys[:, j].tolist()):
             m = B._gen_powers[l][e] @ m % B._tm[:, None]
-        out[:, i] = m @ t[:, i] % B._tm
+        columns = which.ravel() == j
+        out[:, columns] = m @ t[:, columns] % B._tm[:, None]
     return out
 
 
@@ -356,10 +358,10 @@ def test_alpha_table_matches_matrix_reference(case, request):
     got = B._alpha(s, t)
     assert np.array_equal(got, _alpha_reference(B, s, t))
     table = B._alpha_table
-    assert table.shape == (B._tm.size, B.order)
-    # column (t, s) is the index of [t..., s...] in the unpermuted logical order
-    columns = _MixedRadix(np.concatenate([B._tm, B._sm])).encode(np.vstack([t, s]).T)
-    assert np.array_equal(table[:, columns], got)
+    assert table.shape[0] == B.order and table.shape[1] * table.itemsize in (1, 2, 4, 8)
+    # row (t, s) is the index of [t..., s...] in the unpermuted logical order
+    rows = _MixedRadix(np.concatenate([B._tm, B._sm])).encode(np.vstack([t, s]).T)
+    assert np.array_equal(table[rows, : B._tm.size].T, got)
     assert table.dtype == np.min_scalar_type(int(B._tm.max()) - 1)
     assert table.dtype == (np.uint16 if case == "t257" else np.uint8)
     # a length-1 s against every t, and every s against a length-1 t
@@ -377,7 +379,7 @@ def test_alpha_table_on_the_order_18432_factor(inner18432):
     assert np.array_equal(A._alpha(s, t), _alpha_reference(A, s, t))
     assert np.array_equal(A._alpha(s[:, :1], t), _alpha_reference(A, s[:, :1], t))
     assert np.array_equal(A._alpha(s, t[:, :1]), _alpha_reference(A, s, t[:, :1]))
-    assert A._alpha_table.shape == (11, 18432) and A._alpha_table.dtype == np.uint8
+    assert A._alpha_table.shape == (18432, 16) and A._alpha_table.dtype == np.uint8
 
 
 def test_construction_builds_no_alpha_table():
@@ -390,7 +392,7 @@ def test_construction_builds_no_alpha_table():
     for B in fresh:
         assert B._alpha_table is None
         B.mul(B.order - 1, B.order - 1)
-        assert B._alpha_table.shape == (B._tm.size, B.order)
+        assert B._alpha_table.shape[0] == B.order and B._alpha_table.shape[1] >= B._tm.size
 
 
 # SHA-256 of the little-endian int64 results on 100,000 seeded operands
@@ -461,19 +463,19 @@ def _coordinate_reference(B, op, x, y=None):
     return join((t1 + alpha(s1, t2)) % tm, (s1 + s2) % sm)
 
 
-def _assert_kernels_match_reference(B, x, y, singles):
+def _assert_kernels_match_reference(B, x, y, singles, binary=("add", "mul"), unary=("neg", "inv")):
     # x and y have equal lengths; each single is also paired with y on the
     # left and with x on the right, as a length-1 operand
     pairs = [(x, y)]
     for g in singles:
         one = np.array([g], dtype=np.int64)
         pairs += [(one, y), (x, one)]
-    for op in ("add", "mul"):
+    for op in binary:
         for a, b in pairs:
             got = getattr(B, op)(a, b)
             a_full, b_full = np.broadcast_arrays(a, b)
             assert np.array_equal(got, _coordinate_reference(B, op, a_full, b_full)), (op, a.size, b.size)
-    for op in ("neg", "inv"):
+    for op in unary:
         assert np.array_equal(getattr(B, op)(x), _coordinate_reference(B, op, x)), op
 
 
@@ -551,6 +553,19 @@ def _trivial_reference(B, op, x, y=None):
     return (total % B.moduli) @ B.codec.weights
 
 
+def _assert_trivial_kernels_match_reference(B, x, y, singles):
+    # as _assert_kernels_match_reference, for a TrivialBrace
+    for g in singles:
+        one = np.array([g], dtype=np.int64)
+        for a, b in ((x, y), (one, y), (x, one)):
+            a_full, b_full = np.broadcast_arrays(a, b)
+            want = _trivial_reference(B, "add", a_full, b_full)
+            assert np.array_equal(B.add(a, b), want)
+            assert np.array_equal(B.mul(a, b), want)
+    assert np.array_equal(B.neg(x), _trivial_reference(B, "neg", x))
+    assert np.array_equal(B.inv(x), _trivial_reference(B, "inv", x))
+
+
 @pytest.mark.parametrize("length", _BLOCK_LENGTHS)
 def test_kernels_match_the_references_across_block_boundaries(length, cf72):
     # operands shorter than, as long as, and longer than one block of
@@ -565,16 +580,47 @@ def test_kernels_match_the_references_across_block_boundaries(length, cf72):
         if B is cf72:
             _assert_kernels_match_reference(B, x, y, singles)
         else:
-            for g in singles:
-                one = np.array([g], dtype=np.int64)
-                for a, b in ((x, y), (one, y), (x, one)):
-                    a_full, b_full = np.broadcast_arrays(a, b)
-                    want = _trivial_reference(B, "add", a_full, b_full)
-                    assert np.array_equal(B.add(a, b), want)
-                    assert np.array_equal(B.mul(a, b), want)
-            assert np.array_equal(B.neg(x), _trivial_reference(B, "neg", x))
-            assert np.array_equal(B.inv(x), _trivial_reference(B, "inv", x))
+            _assert_trivial_kernels_match_reference(B, x, y, singles)
         assert np.array_equal(x, kept[0]) and np.array_equal(y, kept[1])
+
+
+# carriers on both sides of each bound that picks a dtype of the digit-row
+# kernels, with the rows and the pairing contraction it picks: rows below
+# 3 * max(moduli) for an asymmetric product and 2 * max(moduli) for a
+# trivial brace, and a contraction whose largest value, plus the s modulus,
+# is below 2^24 (float32) or 2^53 (float64)
+_DTYPE_BOUNDS = {
+    "asym85": (lambda: AsymmetricProductBrace([85], [85], [[[1]]], [[[1]]]), np.uint8, np.float32),
+    "asym86": (lambda: AsymmetricProductBrace([86], [86], [[[1]]], [[[1]]]), np.uint16, np.float32),
+    "trivial128": (lambda: TrivialBrace([128]), np.uint8, None),
+    "trivial129": (lambda: TrivialBrace([129]), np.uint16, None),
+    "pair4096": (lambda: AsymmetricProductBrace([4096], [2], [[[1]]], [[[4095]]]), np.uint16, np.float32),
+    "pair4098": (lambda: AsymmetricProductBrace([4098], [2], [[[1]]], [[[4097]]]), np.uint16, np.float64),
+    "pair2^26": (lambda: AsymmetricProductBrace([2**26], [2], [[[1]]], [[[1]]]), np.uint32, np.float64),
+    "pair2^27": (lambda: AsymmetricProductBrace([2**27], [2], [[[1]]], [[[1]]]), np.uint32, np.int64),
+    "trivial2^40": (lambda: TrivialBrace([2**40, 3]), np.uint64, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_DTYPE_BOUNDS))
+def test_kernels_match_the_references_on_both_sides_of_each_dtype_bound(case):
+    make, rows, contract = _DTYPE_BOUNDS[case]
+    B = make()
+    assert B._rows == rows
+    if contract is not None:
+        assert B._contract == contract
+    rng = np.random.default_rng(list(_DTYPE_BOUNDS).index(case))
+    top = B.order - 1  # every digit at its largest
+    for length in (_BLOCK - 1, _BLOCK + 1):
+        x, y = rng.integers(0, B.order, (2, length))
+        x[:2], y[:2] = top, [top, 0]
+        if isinstance(B, TrivialBrace):
+            _assert_trivial_kernels_match_reference(B, x, y, [top])
+        elif B.order > 2**20:
+            # mul and inv would build an alpha table of one row per element
+            _assert_kernels_match_reference(B, x, y, [top], binary=("add",), unary=("neg",))
+        else:
+            _assert_kernels_match_reference(B, x, y, [top])
 
 
 @pytest.mark.parametrize("name", ["trivial", "cf72"])
@@ -628,6 +674,39 @@ def test_threads_sharing_a_brace_get_their_own_results(cf72):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+def test_threads_making_the_first_alpha_build_get_the_one_thread_results():
+    # four threads make the first mul and inv on a fresh brace: whichever
+    # builds the alpha table, none may read one that is not complete
+    rng = np.random.default_rng(24)
+    operands = [rng.integers(0, 72, (2, 2 * _BLOCK + 3)) for _ in range(4)]
+    one = build_family(load_spec(SPECS / "cf72.json"))
+    want = [(one.mul(x, y), one.inv(x)) for x, y in operands]
+    fresh = build_family(load_spec(SPECS / "cf72.json"))
+    assert fresh._alpha_table is None
+    start = threading.Barrier(len(operands))
+    got = [None] * len(operands)
+
+    def work(i):
+        x, y = operands[i]
+        start.wait(timeout=60)
+        got[i] = (fresh.mul(x, y), fresh.inv(x))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(operands))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert g is not None
+        assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
 
 
 @pytest.mark.parametrize("name", ["bulk750k", "trivial"])
