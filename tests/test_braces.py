@@ -676,6 +676,14 @@ def test_threads_sharing_a_brace_get_their_own_results(cf72):
     assert failures == []
 
 
+def test_pairings_beyond_int64_are_rejected():
+    # r^2 (q - 1) (p - 1)^2 + q bounds the pairing sums: about 5.2e18 for
+    # p = 3 * 2^29 and 8.3e19 for p = 3 * 2^31, against 2^63 = 9.2e18
+    assert AsymmetricProductBrace([3 * 2**29], [3], [[[1]]], [[[1]]])._contract == np.int64
+    with pytest.raises(ValueError, match="do not fit int64"):
+        AsymmetricProductBrace([3 * 2**31], [3], [[[1]]], [[[1]]])
+
+
 def test_threads_making_the_first_alpha_build_get_the_one_thread_results():
     # four threads make the first mul and inv on a fresh brace: whichever
     # builds the alpha table, none may read one that is not complete
