@@ -234,9 +234,13 @@ class BraceElement:
 _BLOCK = 1 << 15  # columns per block of the digit-row kernels; the sweep is in CHANGES.md
 
 
-def _padded_width(nbytes: int) -> int:
-    """A table row of ``nbytes``, padded to a power of two up to 32 bytes: numpy's ``take`` copies those fastest."""
-    return 1 << (nbytes - 1).bit_length() if nbytes <= 32 else nbytes
+def _padded_columns(count: int, dtype: np.dtype) -> int:
+    """Columns of a table row of ``count`` ``dtype`` entries, padded to a power of two up to 32 bytes.
+
+    numpy's ``take`` copies rows of those widths fastest.
+    """
+    nbytes = count * dtype.itemsize
+    return (1 << (nbytes - 1).bit_length() if nbytes <= 32 else nbytes) // dtype.itemsize
 
 
 class _Scratch(threading.local):
@@ -292,7 +296,7 @@ class _Run:
 
     ``table`` row v holds the run's digits of v, in the smallest unsigned
     dtype, one column per coordinate in ascending coordinate order, in rows
-    padded by ``_padded_width``. ``columns`` pairs slices of those columns
+    padded by ``_padded_columns``. ``columns`` pairs slices of those columns
     with the slices of coordinate rows they fill: one pair when the run's
     coordinates are consecutive, whatever their weights. ``row`` is the
     run's first coordinate. A digit whose modulus exceeds _BLOCK is a run
@@ -356,7 +360,7 @@ class _MixedRadix:
                 runs.append(_Run(product, coords[0]))
                 continue
             dtype = np.min_scalar_type(max(m for _, m in group) - 1)
-            table = np.zeros((product, _padded_width(len(group) * dtype.itemsize) // dtype.itemsize), dtype=dtype)
+            table = np.zeros((product, _padded_columns(len(group), dtype)), dtype=dtype)
             values, weight = np.arange(product), 1
             for j, m in group:
                 table[:, coords.index(j)] = values // weight % m
@@ -444,7 +448,8 @@ class _MixedRadix:
         """
         weights = self._sum_weights
         if rows.dtype.itemsize == 8 or weights.dtype.itemsize == 8:
-            np.einsum("j,jn->n", self.weights, rows.view(np.int64) if rows.dtype == np.uint64 else rows, out=out)
+            rows = rows.view(np.int64) if rows.dtype == np.uint64 else rows
+            np.einsum("j,jn->n", self.weights, rows, out=out)
         else:
             sums = _scratch.sums.view(weights.dtype)[: out.size]
             np.einsum("j,jn->n", weights, rows, out=sums, casting="unsafe")
@@ -634,7 +639,7 @@ class AsymmetricProductBrace(FiniteBrace):
     Each alpha_s is an automorphism of T, so all of them fit in one
     row-major table of order = |S| * |T| rows, one per (t, s), each holding
     alpha_s(t) in dT entries of the smallest unsigned dtype that holds
-    max(t_moduli) - 1, padded by ``_padded_width`` (uint8 for every shipped
+    max(t_moduli) - 1, padded by ``_padded_columns`` (uint8 for every shipped
     spec: 8 bytes a row, 6 MB at order 750141). The kernels apply alpha as
     one gather of rows from it, a word per element when a row is at most 8
     bytes, whatever the operand shapes. The first multiplication or
@@ -784,7 +789,8 @@ class AsymmetricProductBrace(FiniteBrace):
             t1, t2 = t2, t1
         a, b, c, d, e = self._pair_rows
         floats = _scratch.array("pairing", (e, t2.shape[1]), self._contract)
-        right, left, products, values, quotients = floats[:a], floats[a:b], floats[b:c], floats[c:d], floats[d:]
+        right, left, products = floats[:a], floats[a:b], floats[b:c]
+        values, quotients = floats[c:d], floats[d:]
         np.copyto(right, t2[rows])
         if t1.shape[1] == 1:
             np.matmul((pairing @ t1[rows, 0]).astype(self._contract), right, values)
@@ -831,7 +837,7 @@ class AsymmetricProductBrace(FiniteBrace):
         """(order, W) images alpha_s(t) in the logical order of (t, s), as small ints.
 
         Row (t, s) holds alpha_s(t) in its first dT entries and zeros after
-        them, up to W entries of ``_padded_width`` bytes. Every s owns the
+        them, up to the W of ``_padded_columns``. Every s owns the
         |T| rows from the weight of s on, one per t. The s go in blocks of
         about _BLOCK table entries: each block reads its s-digits off its
         first rows, multiplies their generator powers as one batch of
@@ -845,7 +851,7 @@ class AsymmetricProductBrace(FiniteBrace):
         ts %= self._tm[:, None]
         powers = [np.stack(p) for p in self._gen_powers]
         dtype = np.min_scalar_type(int(self._tm.max()) - 1)
-        table = np.zeros((self.order, _padded_width(dt * dtype.itemsize) // dtype.itemsize), dtype=dtype)
+        table = np.zeros((self.order, _padded_columns(dt, dtype)), dtype=dtype)
         step = max(1, _BLOCK // (size * dt)) * size
         for lo in range(0, self.order, step):
             starts = np.arange(lo, min(lo + step, self.order), size, dtype=np.int64)
