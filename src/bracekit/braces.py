@@ -312,16 +312,17 @@ class _Run:
 class _MixedRadix:
     """Mixed-radix codec; the first-listed coordinate varies fastest.
 
-    ``reordered`` lists the same coordinates in another order, with the
+    ``weights``, when given, are those of the same moduli listed in another
+    order: ``reordered`` lists the coordinates in another order with the
     weights they had, so it encodes to the same indices. ``decode`` and
     ``encode`` walk the columns _BLOCK at a time, so a call allocates only
     its result. ``decode`` reads the digits in runs of at most _BLOCK values
     (``_Run``), which its first call builds, into rows of any integer dtype;
     ``encode`` sums them in the smallest unsigned dtype that holds the
-    carrier's indices (``_weigh``).
+    carrier's indices (``_weigh``), or over every column at once in int64.
     """
 
-    def __init__(self, moduli):
+    def __init__(self, moduli, weights=None):
         self.moduli = np.asarray(moduli, dtype=np.int64)
         if self.moduli.ndim != 1 or self.moduli.size == 0 or np.any(self.moduli < 1):
             raise ValueError("moduli must be a non-empty list of positive integers")
@@ -330,7 +331,9 @@ class _MixedRadix:
             exact *= int(m)
         if exact > 2**62:
             raise ValueError(f"carrier of size {exact} is too large to index")
-        self.weights = np.concatenate(([1], np.cumprod(self.moduli)[:-1]))
+        if weights is None:
+            weights = np.concatenate(([1], np.cumprod(self.moduli)[:-1]))
+        self.weights = np.asarray(weights, dtype=np.int64)
         self.size = exact
         self._runs: Optional[list[_Run]] = None
         # the weights in the dtype that _weigh sums indices in: the smallest
@@ -428,28 +431,33 @@ class _MixedRadix:
         n = rows.shape[1]
         if out is None:
             out = np.empty(n, dtype=np.int64)
-        for lo in range(0, n, _BLOCK):
-            if n <= _BLOCK:
-                self._weigh(rows, out)
-            else:
+        if n <= _BLOCK or self._in_int64(rows):
+            self._weigh(rows, out)
+        else:
+            for lo in range(0, n, _BLOCK):
                 self._weigh(rows[:, lo : lo + _BLOCK], out[lo : lo + _BLOCK])
         return out
 
+    def _in_int64(self, rows: np.ndarray) -> bool:
+        """Whether ``_weigh`` sums the digit ``rows`` in int64, where no scratch bounds the columns."""
+        return rows.dtype.itemsize == 8 or self._sum_weights.dtype.itemsize == 8
+
     def _weigh(self, rows: np.ndarray, out: np.ndarray) -> None:
-        """Write the indices of the (d, m) digit ``rows``, m at most _BLOCK, into the int64 ``out``.
+        """Write the indices of the (d, m) digit ``rows`` into the int64 ``out``.
 
         Every partial sum of an index is at most the index, so a carrier of
         at most 2^32 elements sums digit rows of up to 32 bits in one
         ``einsum`` with ``_sum_weights``, in the smallest unsigned dtype that
-        holds its indices (``_scratch.sums``), and casts the sums once. Rows
-        of 64 bits (``decode``'s own int64 rows) and larger carriers are
-        summed in int64; uint64 rows are read as int64, because numpy would
-        promote int64 with uint64 to float64.
+        holds its indices (``_scratch.sums``, so m is at most _BLOCK), and
+        casts the sums once. Rows of 64 bits (``decode``'s own int64 rows) and
+        larger carriers are summed in int64 by one integer ``matmul`` over
+        every column, which needs no scratch; uint64 rows are read as int64,
+        because numpy would promote int64 with uint64 to float64.
         """
         weights = self._sum_weights
-        if rows.dtype.itemsize == 8 or weights.dtype.itemsize == 8:
+        if self._in_int64(rows):
             rows = rows.view(np.int64) if rows.dtype == np.uint64 else rows
-            np.einsum("j,jn->n", self.weights, rows, out=out)
+            np.matmul(self.weights, rows, out)
         else:
             sums = _scratch.sums.view(weights.dtype)[: out.size]
             np.einsum("j,jn->n", weights, rows, out=sums, casting="unsafe")
@@ -457,13 +465,7 @@ class _MixedRadix:
 
     def reordered(self, order) -> "_MixedRadix":
         """The codec whose coordinate i is this codec's coordinate ``order[i]``."""
-        out = object.__new__(_MixedRadix)
-        out.moduli = self.moduli[order]
-        out.weights = self.weights[order]
-        out.size = self.size
-        out._runs = None
-        out._sum_weights = self._sum_weights[order]
-        return out
+        return _MixedRadix(self.moduli[order], self.weights[order])
 
 
 def _put_digits(run: _Run, values: np.ndarray, block: np.ndarray) -> None:
@@ -559,6 +561,7 @@ class TrivialBrace(FiniteBrace):
 
     def __init__(self, moduli):
         self.codec = _MixedRadix(moduli)
+        self._logical = self.codec  # the codec of the kernels' rows, as in AsymmetricProductBrace
         self.moduli = self.codec.moduli
         self._rows = np.min_scalar_type(2 * int(self.moduli.max()) - 1)
         self._moduli_column = self.moduli[:, None].astype(self._rows)
@@ -922,15 +925,37 @@ class SemidirectProductBrace(FiniteBrace):
     automorphisms of A (via generator sets, which is equivalent to the
     exhaustive definition) and the assignment b -> act_b is checked to be a
     homomorphism on all of B.
+
+    A and B must be codec braces, ``TrivialBrace`` or
+    ``AsymmetricProductBrace``; any other factor raises TypeError. A codec
+    brace's index is its codec's mixed-radix index, so a + |A| * b is the
+    index of the codec whose coordinates are A's followed by B's, with B's
+    weights times |A| (``_logical``). Addition and negation are
+    componentwise, so each is one ``_blockwise`` walk over that codec whose
+    step runs A's row step on A's rows and B's on B's, in the wider of the
+    two factors' row dtypes: one decode and one encode per block for the
+    whole operation. Multiplication and inversion split each index into its
+    two parts and call the factors' kernels, since act_{b1} must first be
+    applied to a2.
     """
 
     def __init__(self, A: FiniteBrace, B: FiniteBrace, act_perms):
+        for factor in (A, B):
+            if not isinstance(factor, (TrivialBrace, AsymmetricProductBrace)):
+                kind = type(factor).__name__
+                raise TypeError(f"semidirect factors must be TrivialBrace or AsymmetricProductBrace, not {kind}")
         self.A = A
         self.B = B
         self.act = np.asarray(act_perms, dtype=np.int64)
         if self.act.shape != (B.order, A.order):
             raise ValueError(f"act_perms must have shape {(B.order, A.order)}")
         self._verify_action()
+        a, b = A._logical, B._logical
+        self._logical = _MixedRadix(
+            np.concatenate([a.moduli, b.moduli]), np.concatenate([a.weights, a.size * b.weights])
+        )
+        self._da = a.moduli.size
+        self._rows = np.promote_types(A._rows, B._rows)
         super().__init__(A.order * B.order)
 
     def _verify_action(self) -> None:
@@ -974,14 +999,23 @@ class SemidirectProductBrace(FiniteBrace):
     def _join(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + self.A.order * b
 
+    def _add_rows(self, x, y, acc, spare):
+        d = self._da
+        self.A._add_rows(x[:d], y[:d], acc[:d], spare[:d])
+        self.B._add_rows(x[d:], y[d:], acc[d:], spare[d:])
+        return acc
+
+    def _neg_rows(self, x, _, __, spare):
+        d = self._da
+        self.A._neg_rows(x[:d], None, None, spare[:d])
+        self.B._neg_rows(x[d:], None, None, spare[d:])
+        return x
+
     def _add(self, x, y):
-        a1, b1 = self._split(x)
-        a2, b2 = self._split(y)
-        return self._join(self.A.add(a1, a2), self.B.add(b1, b2))
+        return _blockwise(self._logical, self._rows, self._add_rows, x, y)
 
     def _neg(self, x):
-        a, b = self._split(x)
-        return self._join(self.A.neg(a), self.B.neg(b))
+        return _blockwise(self._logical, self._rows, self._neg_rows, x)
 
     def _mul(self, x, y):
         a1, b1 = self._split(x)
@@ -1340,14 +1374,12 @@ def _kept_addition_table(B: FiniteBrace) -> Optional[np.ndarray]:
 class _AdditiveSpan:
     """Growing additive subgroup, tracked as a bitmask plus member chunks.
 
-    ``insert`` adds a whole cyclic tower of cosets at once: for a new element
-    x it walks x, 2x, 3x, ... and unions the coset H + kx for each step that
-    lands outside the current subgroup H, which keeps the number of insert
-    calls logarithmic in the subgroup size. Each step is one addition, a
-    kernel call or, on a carrier of order at most 181, a gather from
-    ``_kept_addition_table``: H with x appended, plus kx, gives the coset
-    and the next step's kx + x together. When the index [B:H] is prime,
-    H + <x> is the whole carrier and no coset is computed (``insert``).
+    ``insert`` adds a whole cyclic tower of cosets H + kx at once, which
+    keeps the number of insert calls logarithmic in the subgroup size, and
+    walks the tower by doubling: a tower of m cosets takes ceil(log2 m)
+    additions, each a kernel call or, on a carrier of order at most 181, a
+    gather from ``_kept_addition_table``. When the index [B:H] is prime,
+    H + <x> is the whole carrier and no coset is computed.
     ``insert_many`` is how every span takes a pool of values: additive
     generators, star products, ideal closures and ideal tests all grow
     their spans through it. The members are kept in the
@@ -1373,6 +1405,13 @@ class _AdditiveSpan:
     def insert(self, x: int) -> None:
         """Add the cyclic subgroup of ``x`` to the span H.
 
+        The cosets H + kx for k < j, with j x appended, plus j x give the
+        cosets for k in [j, 2j) and, last, 2j x, in one addition: so j
+        doubles from 1 with each addition. The sums that the span already
+        holds are dropped, which happens once j passes the number m of
+        cosets (kx and (k - m)x lie in one coset), and the walk ends when
+        j x lands in the span, at the first j >= m.
+
         If x is outside H and the index [B:H] = order / |H| is a prime p, then
         H + <x> is all of B: it is a subgroup that properly contains H, so its
         index divides p and is below p. The complement of H is then appended
@@ -1380,22 +1419,22 @@ class _AdditiveSpan:
         as every brace's addition is, so that H is a subgroup and |H| divides
         the order.
         """
-        rep = x = int(x)
-        if self.mask[x]:
+        rep = int(x)
+        if self.mask[rep]:
             return
         if is_prime(self.B.order // self.size):
             self._chunks.append(np.flatnonzero(~self.mask))
             self.mask[:] = True
             self.size = self.B.order
             return
-        # H with x appended: one add gives the coset H + rep and, last, the next rep + x
-        base = np.append(self.members, x)
         while not self.mask[rep]:
-            images = self._add(base, rep)
-            coset = images[:-1]
-            self.mask[coset] = True
-            self._chunks.append(coset)
-            self.size += coset.size
+            # the span so far, rep = j x appended: the cosets for k in [j, 2j), then 2j x
+            images = self._add(np.append(self.members, rep), rep)
+            cosets = images[:-1]
+            cosets = cosets[~self.mask[cosets]]
+            self.mask[cosets] = True
+            self._chunks.append(cosets)
+            self.size += cosets.size
             rep = int(images[-1])
 
     def insert_many(self, values: np.ndarray) -> list[int]:
@@ -1451,7 +1490,7 @@ class IdealRecord:
 
 def _record_from_span(span: _AdditiveSpan, seeds, two_sided: bool) -> IdealRecord:
     return IdealRecord(
-        members=np.sort(span.members),
+        members=np.flatnonzero(span.mask),
         size=span.size,
         seeds=tuple(int(s) for s in seeds),
         two_sided=two_sided,
@@ -1499,7 +1538,9 @@ def _ideal_maps(B: FiniteBrace, two_sided: bool) -> np.ndarray:
     The picks come from ``_greedy_walk`` over left products g x, gathered
     from the picks' rows L_g, each built by one kernel call when its g is
     picked; left translates of distinct elements are distinct. Then
-    lambda_g = L_g - g and g x g^-1 = L_g g^-1.
+    lambda_g = L_g - g, and since x g^-1 = (g x^-1)^-1, conjugation by g is
+    x -> g (g x^-1)^-1, the gathers ``L_g[inv[L_g[inv]]]`` with ``inv`` from
+    one inversion of the carrier: k multiplications and one inversion in all.
     The cache is assigned once, complete, so threads may share a brace.
     """
     built = B._ideal_tables
@@ -1514,10 +1555,12 @@ def _ideal_maps(B: FiniteBrace, two_sided: bool) -> np.ndarray:
             return np.concatenate([lefts[g][f] for g in picks.tolist()])
 
         gens = _greedy_walk(B.order, B.multiplicative_generators()[::-1], step, B.zero())[0]
+        inv = B.inv(every)
         tables = np.empty((2 * len(gens), B.order), dtype=np.int32)
-        for i, (g, gi) in enumerate(zip(gens, B.inv(gens).tolist())):
-            tables[2 * i] = B.sub(lefts[g], g)
-            tables[2 * i + 1] = B.mul(lefts[g], gi)
+        for i, g in enumerate(gens):
+            left = lefts[g]
+            tables[2 * i] = B.sub(left, g)
+            tables[2 * i + 1] = left[inv[left[inv]]]
         built = B._ideal_tables = (np.array(gens, dtype=np.int64), tables)
     return built[1] if two_sided else built[1][::2]
 
@@ -1553,10 +1596,15 @@ def _carrier_members(B: FiniteBrace, obj) -> tuple[np.ndarray, bool]:
 
 
 def _is_closed(B: FiniteBrace, members, two_sided: bool) -> bool:
-    """Whether ``members`` is an additive subgroup invariant under ``_ideal_maps``."""
+    """Whether ``members`` is an additive subgroup invariant under ``_ideal_maps``.
+
+    The whole carrier is one, and is answered without a span or the tables.
+    """
     members, inside = _carrier_members(B, members)
     if not inside:
         return False
+    if members.size == B.order:
+        return True
     span = _AdditiveSpan(B)
     span.insert_many(members)
     # the span holds zero and every member: they form a subgroup exactly when it is no larger
@@ -1752,10 +1800,10 @@ def star_span(B: FiniteBrace, left, right) -> np.ndarray:
         lams = B.lam(left_gens[:, None], gens[None, :])
         if right_span.mask[lams].all():
             span.insert_many(B.sub(lams, gens[None, :]).ravel())
-            return np.sort(span.members)
+            return np.flatnonzero(span.mask)
     for g in gens.tolist():
         span.insert_many(np.atleast_1d(B.star(left, g)))
-    return np.sort(span.members)
+    return np.flatnonzero(span.mask)
 
 
 @dataclass

@@ -965,6 +965,54 @@ def test_semidirect_names_the_first_row_that_is_no_permutation():
         SemidirectProductBrace(TrivialBrace([3]), TrivialBrace([4]), rows)
 
 
+def _semidirect_add_by_parts(B, x, y):
+    """Reference: split each index into a + |A| b, add in each factor, join."""
+    a1, b1 = B._split(np.asarray(x, dtype=np.int64))
+    a2, b2 = B._split(np.asarray(y, dtype=np.int64))
+    return B._join(B.A.add(a1, a2), B.B.add(b1, b2))
+
+
+def _semidirect_neg_by_parts(B, x):
+    a, b = B._split(np.asarray(x, dtype=np.int64))
+    return B._join(B.A.neg(a), B.B.neg(b))
+
+
+@pytest.mark.parametrize("case", ["prime_example", "sd6", "semidirect_42", "semidirect_54", "semidirect_56", "semidirect_64"])
+def test_semidirect_add_and_neg_match_the_split_and_join(case, sd6):
+    from test_lattice_oracle import _SEEDED_CASES  # the lattice oracle's seeded products
+
+    builders = {"prime_example": build_prime_example, "sd6": lambda: sd6}
+    builders.update((name, build) for name, (build, _, _) in _SEEDED_CASES.items())
+    B = builders[case]()
+    rng = np.random.default_rng(17)
+    every = B.elements()
+    for n in (1, 2, 72, _BLOCK - 1, _BLOCK, _BLOCK + 1, B.order):
+        x, y = rng.integers(0, B.order, (2, n))
+        if n == B.order:
+            x, y = every, rng.permutation(every)
+        # a length-1 operand on either side reaches the kernel as length 1
+        for left, right in ((x, y), (x[:1], y), (x, y[:1])):
+            assert np.array_equal(B.add(left, right), _semidirect_add_by_parts(B, left, right))
+        assert np.array_equal(B.neg(x), _semidirect_neg_by_parts(B, x))
+    good = np.arange(_BLOCK + 3, dtype=np.int64) % B.order
+    for bad in (B.order, -1):
+        x = good.copy()
+        x[-2] = bad
+        for call in (lambda: B.add(x, good), lambda: B.add(1, x), lambda: B.neg(x), lambda: B.neg(bad)):
+            with pytest.raises(IndexError, match=rf"index {bad} outside carrier of order {B.order}$"):
+                call()
+
+
+def test_semidirect_factors_must_be_codec_braces(sd6):
+    # the one digit-row walk of add and neg needs the factors' codecs and row steps
+    A, C = TrivialBrace([3]), TrivialBrace([2])
+    act = [[0, 1, 2], [0, 2, 1]]
+    table = TableBrace(*tabulate(A))
+    for left, right, rows in ((table, C, act), (A, TableBrace(*tabulate(C)), act), (sd6, C, [range(6)] * 2)):
+        with pytest.raises(TypeError, match=f"not {type(left if left is not A else right).__name__}"):
+            SemidirectProductBrace(left, right, rows)
+
+
 def test_table_brace_matches_source(sd6):
     add_t, mul_t = tabulate(sd6)
     T = TableBrace(add_t, mul_t)
@@ -1574,7 +1622,8 @@ def test_ideal_tables_match_kernels(case, first, request):
     first_tables = _ideal_maps(B, two_sided=first == "two_sided")
     gens, tables = B._ideal_tables  # a left query builds both kinds too
     every = B.elements()
-    lam = [B.lam(g, every) for g in gens.tolist()]
+    # the rows are gathers from L_g = g every and one inversion of the carrier; the references are products
+    lam = [B.sub(B.mul(g, every), g) for g in gens.tolist()]
     conj = [B.mul(B.mul(g, every), B.inv(g)) for g in gens.tolist()]
     assert tables.dtype == np.int32 and tables.shape == (2 * len(gens), B.order)
     for got, want in zip(tables, [t for pair in zip(lam, conj) for t in pair]):
@@ -1612,10 +1661,13 @@ def test_ideal_tables_only_built_by_ideal_queries(sd6):
         B.neg(every), B.inv(every), B.multiplicative_generators()
         additive_generators(B)
         assert B._ideal_tables is None
-        assert is_left_ideal(B, every)
+        # the whole carrier is an ideal without a span or a table
+        assert is_left_ideal(B, every) and is_ideal(B, every)
+        assert B._ideal_tables is None
+        assert is_left_ideal(B, [B.zero()])
         built = B._ideal_tables
         assert built[1].dtype == np.int32 and len(built[1]) == 2 * len(built[0])
-        assert is_ideal(B, every) and B._ideal_tables is built
+        assert is_ideal(B, [B.zero()]) and B._ideal_tables is built
 
 
 @pytest.mark.parametrize("case", list(_TABLE_CASES))
@@ -1629,13 +1681,13 @@ def test_table_generators_generate_the_multiplicative_group(case, request):
     assert np.array_equal(multiplicative_closure(B, gens), B.elements())
 
 
-def _count_kernel_calls(B) -> Counter:
-    """Count the calls of B's own mul and inv kernels from here on."""
-    calls = Counter()
-    for name in ("_mul", "_inv"):
+def _count_kernel_calls(B) -> dict:
+    """Record the length of each call of B's own mul and inv kernels from here on."""
+    calls = {"_mul": [], "_inv": []}
+    for name in calls:
 
         def counted(*args, kernel=getattr(B, name), name=name):
-            calls[name] += 1
+            calls[name].append(max(a.size for a in args))
             return kernel(*args)
 
         setattr(B, name, counted)
@@ -1647,8 +1699,8 @@ def _assert_two_mul_calls_per_pick(B):
     calls = _count_kernel_calls(B)
     tables = _ideal_maps(B, two_sided=True)
     k = len(tables) // 2
-    # one L_g row per pick, one conjugation row per pick, one inversion of the picks
-    assert calls == {"_mul": 2 * k, "_inv": 1}
+    # one L_g row per pick and one inversion of the carrier; the conjugation rows are gathers
+    assert calls == {"_mul": [B.order] * k, "_inv": [B.order]}
     return tables
 
 
@@ -1666,6 +1718,10 @@ def test_prime_example_tables_cover_five_generators():
     assert np.array_equal(multiplicative_closure(B, gens), B.elements())
     assert len(tables) == 10 and tables.dtype == np.int32
     assert _ideal_maps(B, two_sided=True) is tables and B._ideal_tables[0] is gens  # built once
+    every = B.elements()
+    for g, lam, conj in zip(gens.tolist(), tables[::2], tables[1::2]):
+        assert np.array_equal(lam, B.sub(B.mul(g, every), g))
+        assert np.array_equal(conj, B.mul(B.mul(g, every), B.inv(g)))
 
 
 def _recorded_table_picks(monkeypatch) -> list:
@@ -2028,7 +2084,7 @@ def _counted_add(B):
 
 
 def test_insert_makes_one_add_call_per_coset(ns216):
-    # 216^2 > _BLOCK: the span adds through the kernel, one call per coset
+    # 216^2 > _BLOCK: the span adds through the kernel, one call per doubling of the tower
     assert ns216.order**2 > _BLOCK
     B = build_family(load_spec(SPECS / "ns216.json"))  # a fresh brace whose _add can be counted
     calls = _counted_add(B)
@@ -2036,22 +2092,61 @@ def test_insert_makes_one_add_call_per_coset(ns216):
     assert calls == [] and B._add_table is None
     # the pinned additive generators of ns216, with 1 again once the span holds
     # it; 16 goes in at index 216 / 24 = 9 and 24 at the prime index 216 / 72 = 3
-    indexes = []
+    indexes, lengths = [], []
     for x in (1, 2, 3, 1, 8, 16, 24):
         before, calls[:] = span.size, []
         new = not span.mask[x]
         span.insert(x)
+        lengths.append(list(calls))
         if new:
             indexes.append(B.order // before)
         if new and is_prime(B.order // before):
             # H + <x> is a subgroup properly containing H, so it is the carrier
             assert calls == [] and span.size == B.order
         else:
-            cosets = span.size // before - 1  # each step of the tower adds one coset of H
-            assert calls == [before + 1] * cosets  # H with x appended, in one call per coset
+            # the cosets H + kx for k < j, with j x appended, for j = 1, 2, 4, ... below the tower's length
+            cosets = span.size // before
+            assert calls == [j * before + 1 for j in (1, 2, 4, 8, 16, 32, 64, 128) if j < cosets]
         assert np.array_equal(np.sort(span.members), np.flatnonzero(span.mask))
     assert indexes == [216, 108, 54, 27, 9, 3]
+    # towers of 2, 2, 2, 3, 3 cosets: the towers of 3 take two calls, the second one wrapping round
+    assert lengths == [[2], [3], [5], [], [9, 17], [25, 49], []]
     assert span.size == B.order and np.array_equal(np.sort(span.members), B.elements())
+
+
+_TOWER_CASES = {
+    # Z/30 x Z/30 x Z/3 and Z/30 x Z/3, their s part twisted by the pairing b(t, t') = t . t'
+    "kernel": lambda: AsymmetricProductBrace([30, 30], [3], [[[1, 0], [0, 1]]], [np.eye(2, dtype=int)]),
+    "table": lambda: AsymmetricProductBrace([30], [3], [[[1]]], [[[1]]]),
+    "kernel_cyclic": lambda: TrivialBrace([1000]),
+}
+
+
+@pytest.mark.parametrize(
+    "case, inserted, towers",
+    [
+        ("kernel", [10, 4, 5], [3, 5, 6]),
+        ("kernel", [1], [30]),
+        ("table", [10, 4, 5], [3, 5, 6]),
+        ("table", [1], [30]),
+        ("kernel_cyclic", [1], [1000]),
+    ],
+)
+def test_doubling_walk_matches_the_closure_by_pairwise_sums(case, inserted, towers):
+    B = _TOWER_CASES[case]()
+    assert (B.order**2 > _BLOCK) == case.startswith("kernel")
+    calls = _counted_add(B)
+    span = _AdditiveSpan(B)
+    assert B._add_table is None or case == "table"
+    for i, (x, tower) in enumerate(zip(inserted, towers)):
+        before, calls[:] = span.size, []
+        span.insert(x)
+        assert span.size == before * tower
+        if case != "table":  # ceil(log2 m) kernel calls for a tower of m cosets
+            assert len(calls) == math.ceil(math.log2(tower))
+        want = _additive_closure_by_sums(B, inserted[: i + 1])
+        assert np.array_equal(np.sort(span.members), want)
+        assert np.array_equal(np.flatnonzero(span.mask), want)
 
 
 def test_insert_gathers_from_one_addition_table(cf72):
