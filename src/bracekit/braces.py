@@ -942,8 +942,8 @@ class SemidirectProductBrace(FiniteBrace):
     def __init__(self, A: FiniteBrace, B: FiniteBrace, act_perms):
         for factor in (A, B):
             if not isinstance(factor, (TrivialBrace, AsymmetricProductBrace)):
-                kind = type(factor).__name__
-                raise TypeError(f"semidirect factors must be TrivialBrace or AsymmetricProductBrace, not {kind}")
+                kinds = "TrivialBrace or AsymmetricProductBrace"
+                raise TypeError(f"semidirect factors must be {kinds}, not {type(factor).__name__}")
         self.A = A
         self.B = B
         self.act = np.asarray(act_perms, dtype=np.int64)

@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("--only", action="append", choices=sorted(MUTANTS), help="run this mutant only")
     parser.add_argument("--all", action="store_true", help="run the whole suite on each mutant")
     parser.add_argument("--timeout", type=float, default=900, help="seconds per pytest run")
-    parser.add_argument("--workdir", help="directory for the mutated copies (default: the system's temporary one)")
+    parser.add_argument("--workdir", help="directory for the mutated copies (default: a temporary directory)")
     args = parser.parse_args(argv)
     names, survived = args.only or list(MUTANTS), []
     with tempfile.TemporaryDirectory(prefix="bracekit-mutants-", dir=args.workdir) as tmp:

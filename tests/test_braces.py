@@ -977,7 +977,9 @@ def _semidirect_neg_by_parts(B, x):
     return B._join(B.A.neg(a), B.B.neg(b))
 
 
-@pytest.mark.parametrize("case", ["prime_example", "sd6", "semidirect_42", "semidirect_54", "semidirect_56", "semidirect_64"])
+@pytest.mark.parametrize(
+    "case", ["prime_example", "sd6", "semidirect_42", "semidirect_54", "semidirect_56", "semidirect_64"]
+)
 def test_semidirect_add_and_neg_match_the_split_and_join(case, sd6):
     from test_lattice_oracle import _SEEDED_CASES  # the lattice oracle's seeded products
 
@@ -1007,9 +1009,12 @@ def test_semidirect_factors_must_be_codec_braces(sd6):
     # the one digit-row walk of add and neg needs the factors' codecs and row steps
     A, C = TrivialBrace([3]), TrivialBrace([2])
     act = [[0, 1, 2], [0, 2, 1]]
-    table = TableBrace(*tabulate(A))
-    for left, right, rows in ((table, C, act), (A, TableBrace(*tabulate(C)), act), (sd6, C, [range(6)] * 2)):
-        with pytest.raises(TypeError, match=f"not {type(left if left is not A else right).__name__}"):
+    for left, right, rows, kind in (
+        (TableBrace(*tabulate(A)), C, act, "TableBrace"),
+        (A, TableBrace(*tabulate(C)), act, "TableBrace"),
+        (sd6, C, [range(6)] * 2, "SemidirectProductBrace"),
+    ):
+        with pytest.raises(TypeError, match=f"not {kind}$"):
             SemidirectProductBrace(left, right, rows)
 
 
@@ -1622,7 +1627,7 @@ def test_ideal_tables_match_kernels(case, first, request):
     first_tables = _ideal_maps(B, two_sided=first == "two_sided")
     gens, tables = B._ideal_tables  # a left query builds both kinds too
     every = B.elements()
-    # the rows are gathers from L_g = g every and one inversion of the carrier; the references are products
+    # the rows are gathers from L_g = g every and the carrier's inverses; the references are products
     lam = [B.sub(B.mul(g, every), g) for g in gens.tolist()]
     conj = [B.mul(B.mul(g, every), B.inv(g)) for g in gens.tolist()]
     assert tables.dtype == np.int32 and tables.shape == (2 * len(gens), B.order)
@@ -2104,7 +2109,7 @@ def test_insert_makes_one_add_call_per_coset(ns216):
             # H + <x> is a subgroup properly containing H, so it is the carrier
             assert calls == [] and span.size == B.order
         else:
-            # the cosets H + kx for k < j, with j x appended, for j = 1, 2, 4, ... below the tower's length
+            # the cosets H + kx for k < j, with j x appended, for j = 1, 2, 4, ... below the tower length
             cosets = span.size // before
             assert calls == [j * before + 1 for j in (1, 2, 4, 8, 16, 32, 64, 128) if j < cosets]
         assert np.array_equal(np.sort(span.members), np.flatnonzero(span.mask))
@@ -2134,15 +2139,14 @@ _TOWER_CASES = {
 )
 def test_doubling_walk_matches_the_closure_by_pairwise_sums(case, inserted, towers):
     B = _TOWER_CASES[case]()
-    assert (B.order**2 > _BLOCK) == case.startswith("kernel")
     calls = _counted_add(B)
     span = _AdditiveSpan(B)
-    assert B._add_table is None or case == "table"
+    assert (B._add_table is None) == case.startswith("kernel")  # order^2 > _BLOCK: no kept table
     for i, (x, tower) in enumerate(zip(inserted, towers)):
         before, calls[:] = span.size, []
         span.insert(x)
         assert span.size == before * tower
-        if case != "table":  # ceil(log2 m) kernel calls for a tower of m cosets
+        if B._add_table is None:  # ceil(log2 m) kernel calls for a tower of m cosets
             assert len(calls) == math.ceil(math.log2(tower))
         want = _additive_closure_by_sums(B, inserted[: i + 1])
         assert np.array_equal(np.sort(span.members), want)
