@@ -926,23 +926,24 @@ class SemidirectProductBrace(FiniteBrace):
     exhaustive definition) and the assignment b -> act_b is checked to be a
     homomorphism on all of B.
 
-    A and B must be codec braces, ``TrivialBrace`` or
-    ``AsymmetricProductBrace``; any other factor raises TypeError. A codec
-    brace's index is its codec's mixed-radix index, so a + |A| * b is the
-    index of the codec whose coordinates are A's followed by B's, with B's
-    weights times |A| (``_logical``). Addition and negation are
-    componentwise, so each is one ``_blockwise`` walk over that codec whose
-    step runs A's row step on A's rows and B's on B's, in the wider of the
-    two factors' row dtypes: one decode and one encode per block for the
-    whole operation. Multiplication and inversion split each index into its
-    two parts and call the factors' kernels, since act_{b1} must first be
-    applied to a2.
+    A and B must be codec braces: ``TrivialBrace``,
+    ``AsymmetricProductBrace`` or a semidirect product of such; any other
+    factor (a ``TableBrace``) raises TypeError. A codec brace's index is its
+    codec's mixed-radix index, so a + |A| * b is the index of the codec whose
+    coordinates are A's followed by B's, with B's weights times |A|
+    (``_logical``), and the product is a codec brace in turn. Addition and
+    negation are componentwise, so each is one ``_blockwise`` walk over that
+    codec whose step runs A's row step on A's rows and B's on B's (a nested
+    product's step splits its rows again), in the wider of the two factors'
+    row dtypes: one decode and one encode per block for the whole operation.
+    Multiplication and inversion split each index into its two parts and
+    call the factors' kernels, since act_{b1} must first be applied to a2.
     """
 
     def __init__(self, A: FiniteBrace, B: FiniteBrace, act_perms):
         for factor in (A, B):
-            if not isinstance(factor, (TrivialBrace, AsymmetricProductBrace)):
-                kinds = "TrivialBrace or AsymmetricProductBrace"
+            if not isinstance(factor, (TrivialBrace, AsymmetricProductBrace, SemidirectProductBrace)):
+                kinds = "TrivialBrace, AsymmetricProductBrace or SemidirectProductBrace"
                 raise TypeError(f"semidirect factors must be {kinds}, not {type(factor).__name__}")
         self.A = A
         self.B = B
@@ -1411,6 +1412,13 @@ class _AdditiveSpan:
         holds are dropped, which happens once j passes the number m of
         cosets (kx and (k - m)x lie in one coset), and the walk ends when
         j x lands in the span, at the first j >= m.
+
+        The price of the fewer calls is element work: the walk adds
+        (2^ceil(log2 m) - 1) |H| elements where a walk coset by coset adds
+        (m - 1) |H|, the same for m a power of 2 but 3 |H| against 2 |H| for
+        m = 3 and 7 |H| against 4 |H| for m = 5. Long towers over a small H
+        are bound by the calls and gain; short towers over a large H are
+        bound by the elements and lose.
 
         If x is outside H and the index [B:H] = order / |H| is a prime p, then
         H + <x> is all of B: it is a subgroup that properly contains H, so its

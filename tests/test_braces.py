@@ -977,13 +977,35 @@ def _semidirect_neg_by_parts(B, x):
     return B._join(B.A.neg(a), B.B.neg(b))
 
 
+def _nested_semidirect_products(sd6):
+    """Semidirect products with a semidirect factor on either side."""
+    # (sd6, .) is S3; its sign (the Z/2 part of the index a + 3 s) acts on Z/3 by negation
+    sign = [[0, 1, 2] if x < 3 else [0, 2, 1] for x in range(6)]
+    return {
+        "nested_A": lambda: SemidirectProductBrace(sd6, TrivialBrace([2]), [range(6)] * 2),
+        "nested_B": lambda: SemidirectProductBrace(TrivialBrace([3]), sd6, sign),
+        "nested_prime": lambda: SemidirectProductBrace(build_prime_example(), TrivialBrace([2]), [range(92160)] * 2),
+    }
+
+
 @pytest.mark.parametrize(
-    "case", ["prime_example", "sd6", "semidirect_42", "semidirect_54", "semidirect_56", "semidirect_64"]
+    "case",
+    [
+        "prime_example",
+        "sd6",
+        "semidirect_42",
+        "semidirect_54",
+        "semidirect_56",
+        "semidirect_64",
+        "nested_A",
+        "nested_B",
+        "nested_prime",
+    ],
 )
 def test_semidirect_add_and_neg_match_the_split_and_join(case, sd6):
     from test_lattice_oracle import _SEEDED_CASES  # the lattice oracle's seeded products
 
-    builders = {"prime_example": build_prime_example, "sd6": lambda: sd6}
+    builders = {"prime_example": build_prime_example, "sd6": lambda: sd6, **_nested_semidirect_products(sd6)}
     builders.update((name, build) for name, (build, _, _) in _SEEDED_CASES.items())
     B = builders[case]()
     rng = np.random.default_rng(17)
@@ -1009,13 +1031,13 @@ def test_semidirect_factors_must_be_codec_braces(sd6):
     # the one digit-row walk of add and neg needs the factors' codecs and row steps
     A, C = TrivialBrace([3]), TrivialBrace([2])
     act = [[0, 1, 2], [0, 2, 1]]
-    for left, right, rows, kind in (
-        (TableBrace(*tabulate(A)), C, act, "TableBrace"),
-        (A, TableBrace(*tabulate(C)), act, "TableBrace"),
-        (sd6, C, [range(6)] * 2, "SemidirectProductBrace"),
-    ):
-        with pytest.raises(TypeError, match=f"not {kind}$"):
-            SemidirectProductBrace(left, right, rows)
+    for left, right in ((TableBrace(*tabulate(A)), C), (A, TableBrace(*tabulate(C)))):
+        with pytest.raises(TypeError, match="not TableBrace$"):
+            SemidirectProductBrace(left, right, act)
+    # a semidirect product is a codec brace itself, on either side
+    nested = _nested_semidirect_products(sd6)
+    for case in ("nested_A", "nested_B"):
+        assert check_axioms(nested[case](), mode="exhaustive").ok
 
 
 def test_table_brace_matches_source(sd6):
@@ -1627,8 +1649,7 @@ def test_ideal_tables_match_kernels(case, first, request):
     first_tables = _ideal_maps(B, two_sided=first == "two_sided")
     gens, tables = B._ideal_tables  # a left query builds both kinds too
     every = B.elements()
-    # the rows are gathers from L_g = g every and the carrier's inverses; the references are products
-    lam = [B.sub(B.mul(g, every), g) for g in gens.tolist()]
+    lam = [B.lam(g, every) for g in gens.tolist()]
     conj = [B.mul(B.mul(g, every), B.inv(g)) for g in gens.tolist()]
     assert tables.dtype == np.int32 and tables.shape == (2 * len(gens), B.order)
     for got, want in zip(tables, [t for pair in zip(lam, conj) for t in pair]):
